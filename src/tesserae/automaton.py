@@ -29,16 +29,23 @@ class TransferAutomaton:
 
     states[i] is a boundary profile packed into an integer, row-major: bit
     (row * reach + j) is set when the cell j+1 columns past the boundary in
-    that row is already covered.  matrix[i][j] is the number of ways to fill
-    one full column entering with profile states[i] and leaving states[j].
-    Counts of m x n rectangles are (matrix^n)[start][start].
+    that row is already covered.  edges[i] holds the (j, ways) pairs, j
+    ascending and ways > 0, for the ways to fill one full column entering
+    with profile states[i] and leaving states[j].  Counts of m x n
+    rectangles are (matrix^n)[start][start].
     """
 
     width: int
     reach: int
     states: tuple[int, ...]
     start: int
-    matrix: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Dense n x n view of edges, for inspection only; the library never reads it."""
+        n = len(self.states)
+        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in map(dict, self.edges))
 
 
 @dataclass(frozen=True)
@@ -150,43 +157,34 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
         rows.append(counts)
         pos += 1
 
-    n = len(profiles)
-    matrix = tuple(tuple(row.get(j, 0) for j in range(n)) for row in rows)
+    edges = tuple(tuple(sorted(row.items())) for row in rows)
     states = tuple(_pack(p, reach) for p in profiles)
-    return TransferAutomaton(width=width, reach=reach, states=states, start=0, matrix=matrix)
+    return TransferAutomaton(width=width, reach=reach, states=states, start=0, edges=edges)
 
 
-def _apply(matrix: tuple[tuple[int, ...], ...], vec: list[int]) -> list[int]:
+def _apply(edges: tuple[tuple[tuple[int, int], ...], ...], vec: list[int]) -> list[int]:
     out = [0] * len(vec)
     for i, v in enumerate(vec):
         if v:
-            row = matrix[i]
-            for j, w in enumerate(row):
-                if w:
-                    out[j] += v * w
+            for j, w in edges[i]:
+                out[j] += v * w
     return out
 
 
 def count_rect(a: TransferAutomaton, length: int) -> int:
     """Exact number of tilings of the width x length rectangle."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    vec = [0] * len(a.states)
-    vec[a.start] = 1
-    for _ in range(length):
-        vec = _apply(a.matrix, vec)
-    return vec[a.start]
+    return series(a, length).terms[-1]
 
 
 def series(a: TransferAutomaton, length: int) -> CountSeries:
-    """Counts N(0..length) from one iterated matrix-vector sweep."""
+    """Counts N(0..length) from one iterated sparse matrix-vector sweep."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     vec = [0] * len(a.states)
     vec[a.start] = 1
     terms = [1]
     for _ in range(length):
-        vec = _apply(a.matrix, vec)
+        vec = _apply(a.edges, vec)
         terms.append(vec[a.start])
     return CountSeries(width=a.width, terms=tuple(terms))
 
@@ -197,11 +195,10 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
     Keeps exactly the states reachable from the start profile and
     co-reachable back to it; every count N(n) is unchanged.
     """
-    n = len(a.states)
-    fwd = [[j for j in range(n) if a.matrix[i][j]] for i in range(n)]
-    back: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in fwd[i]:
+    fwd = [[j for j, _ in out] for out in a.edges]
+    back: list[list[int]] = [[] for _ in fwd]
+    for i, targets in enumerate(fwd):
+        for j in targets:
             back[j].append(i)
 
     def closure(adj: list[list[int]]) -> set[int]:
@@ -216,9 +213,10 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
         return seen
 
     keep = sorted(closure(fwd) & closure(back))
-    matrix = tuple(tuple(a.matrix[i][j] for j in keep) for i in keep)
+    renumber = {i: k for k, i in enumerate(keep)}  # monotone, so edges stay ascending
+    edges = tuple(tuple((renumber[j], w) for j, w in a.edges[i] if j in renumber) for i in keep)
     states = tuple(a.states[i] for i in keep)
-    return TransferAutomaton(a.width, a.reach, states, keep.index(a.start), matrix)
+    return TransferAutomaton(a.width, a.reach, states, renumber[a.start], edges)
 
 
 def brute_force_count(tiles: TileSet, width: int, length: int, max_cells: int = 64) -> int:
@@ -275,9 +273,8 @@ def to_dot(a: TransferAutomaton) -> str:
         label = _profile_label(packed, a.width, a.reach)
         shape = ' shape="doublecircle"' if i == a.start else ""
         lines.append(f'  s{i} [label="{label}"{shape}];')
-    for i, row in enumerate(a.matrix):
-        for j, ways in enumerate(row):
-            if ways:
-                lines.append(f'  s{i} -> s{j} [label="{ways}"];')
+    for i, out in enumerate(a.edges):
+        for j, ways in out:
+            lines.append(f'  s{i} -> s{j} [label="{ways}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

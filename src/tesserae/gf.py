@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .automaton import CountSeries, TransferAutomaton, series
+from .automaton import CountSeries, TransferAutomaton, series, trim_reachable
 
 
 class RecurrenceError(ValueError):
@@ -278,14 +278,36 @@ def from_faultfree(g: RationalGF) -> RationalGF:
     return RationalGF(g.den, den, g.step)
 
 
+def _period(a: TransferAutomaton) -> int:
+    # gcd of closed-walk lengths through the start of a trimmed automaton (one
+    # strongly connected component): gcd of level[i] + 1 - level[j] over edges
+    level = [-1] * len(a.states)
+    level[a.start] = 0
+    queue = [a.start]
+    for i in queue:
+        for j, _ in a.edges[i]:
+            if level[j] < 0:
+                level[j] = level[i] + 1
+                queue.append(j)
+    k = 0
+    for i in queue:
+        for j, _ in a.edges[i]:
+            k = gcd(k, level[i] + 1 - level[j])
+    if not k:
+        raise NoTilingsError(f"width {a.width} admits no tiling of any positive length")
+    return k
+
+
 def strip_gf(auto: TransferAutomaton, budget: int = 32, max_doublings: int = 4) -> RationalGF:
     """Generating function of a strip automaton in resampled indexing.
 
-    Detects the length step, resamples the count series, and infers the
-    minimal recurrence; the series budget doubles on failure, up to
-    budget * 2**max_doublings resampled terms.
+    Trims the automaton, takes the length step exactly as the period of its
+    start state (so no series prefix has to reveal it), resamples the count
+    series, and infers the minimal recurrence; the series budget doubles on
+    failure, up to budget * 2**max_doublings resampled terms.
     """
-    k = detect_step(series(auto, budget))
+    auto = trim_reachable(auto)
+    k = _period(auto)
     t_terms = budget
     while True:
         a = resample(series(auto, k * (t_terms - 1)), k)

@@ -144,15 +144,18 @@ def perron_root(a: TransferAutomaton, tol: float = 1e-13, max_iter: int = 200_00
 
     Iterates on matrix + identity so that periodic automata (tiles that
     only complete every k-th column) still converge; the unit shift is
-    subtracted from the converged Rayleigh quotient.
+    subtracted from the converged Rayleigh quotient.  Each step touches the
+    nonzero transitions only, as index arrays.
     """
     n = len(a.states)
-    m = np.array(a.matrix, dtype=float) + np.eye(n)
+    src = np.array([i for i, out in enumerate(a.edges) for _ in out], dtype=np.intp)
+    dst = np.array([j for out in a.edges for j, _ in out], dtype=np.intp)
+    ways = np.array([w for out in a.edges for _, w in out], dtype=float)
     v = np.full(n, 1.0 / math.sqrt(n))
     prev = math.inf
     settled = 0
     for it in range(max_iter):
-        w = m @ v
+        w = np.bincount(src, weights=ways * v[dst], minlength=n) + v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             raise SpectralError("transfer matrix annihilated the iterate")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tesserae import (
@@ -12,6 +14,7 @@ from tesserae import (
     to_dot,
     trim_reachable,
 )
+from tesserae.poly import PRESETS
 
 PRESET_NAMES = ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]
 
@@ -127,7 +130,7 @@ class TestTrim:
     def test_unreachable_state_dropped(self):
         # state 1 has an edge into the start but nothing reaches it
         auto = TransferAutomaton(
-            width=1, reach=1, states=(0, 1), start=0, matrix=((1, 0), (1, 1))
+            width=1, reach=1, states=(0, 1), start=0, edges=(((0, 1),), ((0, 1), (1, 1)))
         )
         trimmed = trim_reachable(auto)
         assert trimmed.states == (0,)
@@ -222,3 +225,30 @@ def test_tall_variants_silently_dropped():
     # but the 2-row ones keep the automaton buildable
     auto = build_automaton(preset("tetromino-L"), 2)
     assert count_rect(auto, 4) == brute_force_count(preset("tetromino-L"), 2, 4)
+
+
+def test_sparse_edges_well_formed_every_preset_width():
+    for name in PRESETS:
+        for width in range(1, 7):
+            try:
+                auto = build_automaton(preset(name), width)
+            except AutomatonError:
+                continue
+            n = len(auto.states)
+            assert len(auto.edges) == n
+            for out in auto.edges:
+                targets = [j for j, _ in out]
+                assert targets == sorted(set(targets))
+                assert all(0 <= j < n and w > 0 for j, w in out)
+            # the dense view round-trips to the sparse transitions
+            assert tuple(
+                tuple((j, w) for j, w in enumerate(row) if w) for row in auto.matrix
+            ) == auto.edges
+
+
+def test_sparse_trim_keeps_dense_era_dot():
+    # SHA-256 of the DOT text that the dense-matrix automaton produced
+    dot = to_dot(trim_reachable(build_automaton(preset("tromino-right"), 4)))
+    assert hashlib.sha256(dot.encode()).hexdigest() == (
+        "2ad1be7521379b1037cccf87a9bb3a60cc1accfdca63ba13a4cd05613ccbe634"
+    )

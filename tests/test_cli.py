@@ -93,6 +93,15 @@ class TestTileFiles:
         report = run_json(capsys, "gf", "--tiles", str(path), "--width", "4")
         assert report["den"] == [1, -4, -2, 1, 4, 4, 2]
 
+    def test_long_bar_step_beyond_series_prefix(self, capsys, tmp_path):
+        # a 1x33 bar tiles the width-1 strip only at multiples of 33 columns
+        path = tmp_path / "bar.tiles"
+        path.write_text("@symmetry: none\n" + "#" * 33 + "\n")
+        report = run_json(capsys, "gf", "--tiles", str(path), "--width", "1")
+        assert (report["num"], report["den"], report["step"]) == ([1], [1, -1], 33)
+        report = run_json(capsys, "count", "--tiles", str(path), "--width", "1", "--length", "33")
+        assert report["count"] == "1"
+
     def test_bad_tile_file(self, capsys, tmp_path):
         path = tmp_path / "bad.tiles"
         path.write_text("#?\n")

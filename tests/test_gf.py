@@ -247,3 +247,22 @@ def test_expand_infer_round_trip(num, den_tail):
 def test_faultfree_involution_random(num_tail, den_tail):
     g = RationalGF((1, *num_tail), (1, *den_tail), 1)
     assert from_faultfree(faultfree(g)) == g
+
+
+def test_graph_period_step_matches_series_gcd():
+    from tesserae import AutomatonError, trim_reachable
+    from tesserae.gf import _period
+
+    for name in ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]:
+        for width in range(1, 7):
+            try:
+                auto = build_automaton(preset(name), width)
+            except AutomatonError:
+                continue
+            try:
+                k = detect_step(series(auto, 24))
+            except NoTilingsError:
+                with pytest.raises(NoTilingsError):
+                    _period(trim_reachable(auto))
+                continue
+            assert _period(trim_reachable(auto)) == k, (name, width)

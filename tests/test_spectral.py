@@ -81,11 +81,11 @@ class TestPerron:
         n = len(auto.states)
         for i in range(n):
             for j in range(n):
-                rows = [list(r) for r in auto.matrix]
-                rows[i][j] += 1
-                bumped = dataclasses.replace(
-                    auto, matrix=tuple(tuple(r) for r in rows)
-                )
+                out = dict(auto.edges[i])
+                out[j] = out.get(j, 0) + 1
+                edges = list(auto.edges)
+                edges[i] = tuple(sorted(out.items()))
+                bumped = dataclasses.replace(auto, edges=tuple(edges))
                 assert perron_root(bumped) >= base - 1e-12
 
     def test_row_sum_bracketing(self):
