@@ -193,7 +193,8 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
     """Drop states that cannot lie on any start-to-start path.
 
     Keeps exactly the states reachable from the start profile and
-    co-reachable back to it; every count N(n) is unchanged.
+    co-reachable back to it; every count N(n) is unchanged.  Returns a
+    itself when every state is kept.
     """
     fwd = [[j for j, _ in out] for out in a.edges]
     back: list[list[int]] = [[] for _ in fwd]
@@ -213,6 +214,8 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
         return seen
 
     keep = sorted(closure(fwd) & closure(back))
+    if len(keep) == len(a.states):
+        return a
     renumber = {i: k for k, i in enumerate(keep)}  # monotone, so edges stay ascending
     edges = tuple(tuple((renumber[j], w) for j, w in a.edges[i] if j in renumber) for i in keep)
     states = tuple(a.states[i] for i in keep)

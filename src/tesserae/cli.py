@@ -85,8 +85,8 @@ def _tileset(spec: str) -> poly.TileSet:
     if not path.is_file():
         raise poly.TileError(f"{spec!r} is neither a preset nor a tile file")
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise poly.TileError(f"cannot read tile file {spec!r}: {exc}") from exc
     return poly.parse_tile_file(text)
 
@@ -117,7 +117,7 @@ def _round12(x: float) -> float:
 
 def _cmd_count(args) -> dict:
     _check_width(args.width), _check_length(args.length)
-    auto = am.build_automaton(_tileset(args.tiles), args.width)
+    auto = am.trim_reachable(am.build_automaton(_tileset(args.tiles), args.width))
     n = am.count_rect(auto, args.length)
     return {"command": "count", "tiles": args.tiles, "width": args.width,
             "length": args.length, "count": str(n)}
@@ -125,7 +125,7 @@ def _cmd_count(args) -> dict:
 
 def _cmd_series(args) -> dict:
     _check_width(args.width), _check_length(args.length)
-    auto = am.build_automaton(_tileset(args.tiles), args.width)
+    auto = am.trim_reachable(am.build_automaton(_tileset(args.tiles), args.width))
     s = am.series(auto, args.length)
     return {"command": "series", "tiles": args.tiles, "width": args.width,
             "length": args.length, "series": [str(t) for t in s.terms]}

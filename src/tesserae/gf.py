@@ -159,72 +159,45 @@ def resample(s: CountSeries, k: int) -> list[int]:
     return list(s.terms[::k])
 
 
-def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(rhs)
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [c - f * d for c, d in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-def _fit_order(a: list[int], order: int) -> tuple[tuple[int, ...], int] | None:
-    n = len(a)
-    if order == 0:
-        start = n
-        while start and a[start - 1] == 0:
-            start -= 1
-        return ((), start) if n - start >= 2 else None
-    for shift in range(3):
-        hi = n - shift
-        lo = hi - order
-        if lo < order:
-            break
-        rows = [[Fraction(a[t - j]) for j in range(1, order + 1)] for t in range(lo, hi)]
-        rhs = [Fraction(a[t]) for t in range(lo, hi)]
-        sol = _solve(rows, rhs)
-        if sol is None:
-            continue
-        if sol[-1] == 0 or any(c.denominator != 1 for c in sol):
-            continue
-        coeffs = tuple(int(c) for c in sol)
-        valid_from = order
-        for t in range(n - 1, order - 1, -1):
-            if a[t] != sum(coeffs[j] * a[t - 1 - j] for j in range(order)):
-                valid_from = t + 1
-                break
-        if n - valid_from >= order + 2:
-            return coeffs, valid_from
-    return None
-
-
 def infer_recurrence(terms) -> LinearRecurrence:
-    """Minimal-order integer linear recurrence fitting a tail of the terms.
+    """Minimal integer linear recurrence of the terms, by Berlekamp-Massey.
 
-    For each candidate order, smallest first, the exact Hankel system built
-    from the last terms is solved over the rationals; a candidate is
-    accepted once the recurrence holds on every term from some index
-    onward, with at least order + 2 verified positions.  Transients are
-    allowed and reported through valid_from.
+    Berlekamp-Massey over the rationals finds the shortest linear feedback
+    shift register that generates every given term: the linear complexity L
+    and the connection polynomial C = 1 - c1 z - ... - cd z^d, d <= L.  The
+    recurrence a[t] = c1 a[t-1] + ... + cd a[t-d] then holds for t >= L,
+    which is reported as valid_from, so transients are allowed.  It is
+    accepted only when C is integral and at least order + 2 terms lie past
+    L.  The margin always holds when L <= len(terms) / 2 - 1, which also
+    makes C the unique minimal connection polynomial of the terms.
     """
     a = [int(x) for x in terms]
     n = len(a)
-    for order in range(max(0, (n - 2) // 2) + 1):
-        fit = _fit_order(a, order)
-        if fit is not None:
-            coeffs, valid_from = fit
-            return LinearRecurrence(order=order, coeffs=coeffs, valid_from=valid_from)
-    raise RecurrenceError(
-        f"no recurrence of order <= {(n - 2) // 2} fits {n} terms; supply a longer series"
-    )
+    c, b = [Fraction(1)], [Fraction(1)]  # current and last-length-change registers
+    length, gap, b_disc = 0, 1, Fraction(1)
+    for t in range(n):
+        disc = sum(x * y for x, y in zip(c, a[t::-1]))
+        if disc == 0:
+            gap += 1
+            continue
+        scale = disc / b_disc
+        nxt = c + [Fraction(0)] * (len(b) + gap - len(c))
+        for j, x in enumerate(b):
+            nxt[j + gap] -= scale * x
+        if 2 * length <= t:
+            length, b, b_disc, gap = t + 1 - length, c, disc, 1
+        else:
+            gap += 1
+        c = nxt
+    poly = _strip(c)
+    order = len(poly) - 1
+    if n - length < order + 2 or any(x.denominator != 1 for x in poly):
+        raise RecurrenceError(
+            f"{n} terms leave {n - length} past the linear complexity {length}, "
+            f"too few to check an order-{order} integer recurrence; supply a longer series"
+        )
+    return LinearRecurrence(order=order, coeffs=tuple(-int(x) for x in poly[1:]),
+                            valid_from=length)
 
 
 def recurrence_to_gf(rec: LinearRecurrence, terms, step: int = 1) -> RationalGF:
@@ -278,9 +251,10 @@ def from_faultfree(g: RationalGF) -> RationalGF:
     return RationalGF(g.den, den, g.step)
 
 
-def _period(a: TransferAutomaton) -> int:
-    # gcd of closed-walk lengths through the start of a trimmed automaton (one
-    # strongly connected component): gcd of level[i] + 1 - level[j] over edges
+def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
+    # BFS levels from the start, and the gcd of closed-walk lengths through the
+    # start of a trimmed automaton (one strongly connected component): gcd of
+    # level[i] + 1 - level[j] over edges
     level = [-1] * len(a.states)
     level[a.start] = 0
     queue = [a.start]
@@ -295,27 +269,27 @@ def _period(a: TransferAutomaton) -> int:
             k = gcd(k, level[i] + 1 - level[j])
     if not k:
         raise NoTilingsError(f"width {a.width} admits no tiling of any positive length")
-    return k
+    return level, k
 
 
-def strip_gf(auto: TransferAutomaton, budget: int = 32, max_doublings: int = 4) -> RationalGF:
+def _period(a: TransferAutomaton) -> int:
+    return _levels_and_period(a)[1]
+
+
+def strip_gf(auto: TransferAutomaton) -> RationalGF:
     """Generating function of a strip automaton in resampled indexing.
 
-    Trims the automaton, takes the length step exactly as the period of its
-    start state (so no series prefix has to reveal it), resamples the count
-    series, and infers the minimal recurrence; the series budget doubles on
-    failure, up to budget * 2**max_doublings resampled terms.
+    Trims the automaton and takes the length step k exactly as the period of
+    its start state.  The states whose BFS level is 0 mod k form the start's
+    cyclic class; a[t] = N(k t) is read off the k-step transfer restricted to
+    those r0 states, so by Cayley-Hamilton its linear complexity is at most
+    r0.  Berlekamp-Massey on the 2 r0 + 2 terms a[0..2 r0 + 1] therefore
+    certifies the minimal recurrence (2 r0 terms fix it, two more meet the
+    verification margin of infer_recurrence), and Fatou's lemma makes the
+    reduced num/den integral.
     """
     auto = trim_reachable(auto)
-    k = _period(auto)
-    t_terms = budget
-    while True:
-        a = resample(series(auto, k * (t_terms - 1)), k)
-        try:
-            rec = infer_recurrence(a)
-        except RecurrenceError:
-            if t_terms >= budget << max_doublings:
-                raise
-            t_terms *= 2
-            continue
-        return recurrence_to_gf(rec, a, step=k)
+    level, k = _levels_and_period(auto)
+    r0 = sum(1 for v in level if v % k == 0)
+    a = resample(series(auto, k * (2 * r0 + 1)), k)
+    return recurrence_to_gf(infer_recurrence(a), a, step=k)

@@ -109,6 +109,13 @@ class TestTileFiles:
         assert code == 2
         assert "tile" in err.lower()
 
+    def test_tile_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "binary.tiles"
+        path.write_bytes(b"\xff\xfe#\n")
+        code, _, err = run(capsys, "count", "--tiles", str(path), "--width", "2", "--length", "2")
+        assert code == 2
+        assert "tile" in err.lower()
+
 
 class TestExitCodes:
     def test_usage_missing_command(self, capsys):
