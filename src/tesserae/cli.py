@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
     p = command("ising-bound", "Ising-model entropy bound for the T tetromino")
     p.add_argument("--beta", default=None, help='inverse temperature: "ln2/2" or a decimal')
     p.add_argument("--grid", type=int, default=1024, help="quadrature nodes per axis (power of two)")
-    p = command("fylfot", "exhaustive fylfot-lattice weighted sum")
+    p = command("fylfot", "exact fylfot-lattice weighted sum")
     _add_width(p, help_text="fylfot lattice rows"), _add_length(p, help_text="fylfot lattice columns")
     p = command("automaton-dot", "transfer automaton as a DOT digraph")
     _add_tiles(p), _add_width(p)
@@ -186,14 +186,12 @@ def _cmd_ising(args) -> dict:
     beta = ising.BETA_TILING if args.beta is None else _parse_beta(args.beta)
     if beta == ising.BETA_TILING:
         bound = ising.t_tetromino_bound(args.grid)
-        return {"command": "ising-bound", "beta": _round12(bound.beta), "grid": bound.grid,
-                "sigma_ising": _round12(bound.sigma_ising),
-                "sigma_lower": _round12(bound.sigma_lower),
-                "err_estimate": _round12(bound.err_estimate)}
-    sigma = ising.onsager_entropy(beta, args.grid)
-    err = abs(sigma - ising.onsager_entropy(beta, args.grid // 2)) if args.grid >= 128 else None
+        sigma, lower, err = bound.sigma_ising, _round12(bound.sigma_lower), bound.err_estimate
+    else:  # the half grid is below the smallest one at 64, so no estimate there
+        sigma, lower = ising.onsager_entropy(beta, args.grid), None
+        err = abs(sigma - ising.onsager_entropy(beta, args.grid // 2)) if args.grid >= 128 else None
     return {"command": "ising-bound", "beta": _round12(beta), "grid": args.grid,
-            "sigma_ising": _round12(sigma), "sigma_lower": None,
+            "sigma_ising": _round12(sigma), "sigma_lower": lower,
             "err_estimate": None if err is None else _round12(err)}
 
 

@@ -150,6 +150,15 @@ class TestExitCodes:
     def test_beta_past_criticality(self, capsys):
         assert run(capsys, "ising-bound", "--beta", "0.9")[0] == 1
 
+    def test_grid_past_budget(self, capsys):
+        # a 65536^2 float64 node mesh would be about 34 GB; refused before numpy runs
+        assert run(capsys, "ising-bound", "--grid", "65536")[0] == 1
+
+    def test_fylfot_past_budget(self, capsys):
+        code, _, err = run(capsys, "fylfot", "--width", "14", "--length", "14")
+        assert code == 1
+        assert "budget" in err
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(

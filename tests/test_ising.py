@@ -36,7 +36,7 @@ class TestOnsager:
         with pytest.raises(IsingError):
             onsager_entropy(-0.01, 256)
 
-    @pytest.mark.parametrize("grid", [0, 32, 63, 100, 1000])
+    @pytest.mark.parametrize("grid", [0, 32, 63, 100, 1000, 16384])
     def test_bad_grid_refused(self, grid):
         with pytest.raises(IsingError):
             onsager_entropy(0.1, grid)
@@ -78,6 +78,8 @@ class TestFylfotSum:
             (2, 2, 82),      # enumerated by hand over 16 assignments
             (2, 3, 1122),    # frozen from an independent per-mask product sweep
             (3, 3, 70146),   # frozen from an independent per-mask product sweep
+            (5, 5, 469135234666818),  # frozen from the former 2^(pq) enumeration
+            (4, 6, 102597174055746),  # frozen from the former 2^(pq) enumeration
         ],
     )
     def test_small_lattices(self, p, q, expected):
@@ -85,12 +87,23 @@ class TestFylfotSum:
 
     def test_transpose_symmetry(self):
         assert fylfot_sum(2, 4) == fylfot_sum(4, 2)
+        assert fylfot_sum(6, 4) == fylfot_sum(4, 6)
 
     def test_cap(self):
-        with pytest.raises(IsingError):
-            fylfot_sum(5, 5)
+        # just past the transfer budget (13x13 is the last square admitted and
+        # 1x68254 the last strip), then far past it, where the check must not
+        # build anything of size 2^min(p, q)
+        for p, q in [(14, 14), (1, 68255), (10**9, 10**9)]:
+            with pytest.raises(IsingError):
+                fylfot_sum(p, q)
         with pytest.raises(IsingError):
             fylfot_sum(0, 3)
+
+    @pytest.mark.parametrize("like, unlike", [(2, 1), (1, 2), (3, 5)])
+    def test_transfer_matches_brute_force(self, like, unlike):
+        for p in range(1, 13):
+            for q in range(1, 12 // p + 1):
+                assert spin_weight_sum(p, q, like, unlike) == _brute_force_sum(p, q, like, unlike)
 
     def test_global_flip_symmetry(self):
         # negating every spin preserves edge likeness, so each term pairs up:
@@ -116,6 +129,21 @@ class TestFylfotSum:
         # open-boundary values behave like A - B/n; doubling n cancels B
         extrapolated = 2 * per_site[4] - per_site[2]
         assert extrapolated > eight_cell_bound()
+
+
+def _brute_force_sum(p, q, like, unlike):
+    total = 0
+    for mask in range(1 << (p * q)):  # bit i * q + j is the spin at row i, column j
+        value = 1
+        for i in range(p):
+            for j in range(q):
+                b = i * q + j
+                if j + 1 < q:
+                    value *= like if ((mask >> b) ^ (mask >> (b + 1))) & 1 == 0 else unlike
+                if i + 1 < p:
+                    value *= like if ((mask >> b) ^ (mask >> (b + q))) & 1 == 0 else unlike
+        total += value
+    return total
 
 
 def _sum_with_first_spin_up(p, q):
