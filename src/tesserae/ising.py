@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class IsingError(ValueError):
     """Parameters outside the valid quadrature or lattice range."""
@@ -42,6 +40,8 @@ def _check_grid(grid: int) -> None:
 
 
 def _entropy(beta: float, grid: int) -> float:
+    import numpy as np  # here, not at module level, so the CLI starts without it
+
     # periodic trapezoid rule on [0, 2pi)^2 is a plain mean over the nodes
     c = np.cos(2.0 * math.pi * np.arange(grid) / grid)
     b = 2.0 * beta

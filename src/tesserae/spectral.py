@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .automaton import TransferAutomaton
 from .gf import RationalGF, expand
 from .poly import TileSet
@@ -147,6 +145,8 @@ def perron_root(a: TransferAutomaton, tol: float = 1e-13, max_iter: int = 200_00
     subtracted from the converged Rayleigh quotient.  Each step touches the
     nonzero transitions only, as index arrays.
     """
+    import numpy as np  # here, not at module level, so the CLI starts without it
+
     n = len(a.states)
     src = np.array([i for i, out in enumerate(a.edges) for _ in out], dtype=np.intp)
     dst = np.array([j for out in a.edges for j, _ in out], dtype=np.intp)

@@ -1,19 +1,27 @@
 import hashlib
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tesserae import (
     AutomatonError,
     OracleLimitError,
+    Polyomino,
+    StateBudgetError,
     TransferAutomaton,
     brute_force_count,
     build_automaton,
     count_rect,
+    make_tileset,
+    parse_tile_file,
     preset,
     series,
     to_dot,
     trim_reachable,
 )
+from tesserae.automaton import MAX_STATES
 from tesserae.poly import PRESETS
 
 PRESET_NAMES = ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]
@@ -252,3 +260,120 @@ def test_sparse_trim_keeps_dense_era_dot():
     assert hashlib.sha256(dot.encode()).hexdigest() == (
         "2ad1be7521379b1037cccf87a9bb3a60cc1accfdca63ba13a4cd05613ccbe634"
     )
+
+
+# First 16 hex digits of the SHA-256 of to_dot and of repr(states) of the raw
+# (untrimmed) automaton, recorded from the list-of-column-masks fill that the
+# packed window replaced; None: no variant fits the width.
+RAW_DIGESTS = {
+    ("monomino", 1): ("42205d2400754326", "91d6039a01f57163"),
+    ("monomino", 2): ("42205d2400754326", "91d6039a01f57163"),
+    ("monomino", 3): ("42205d2400754326", "91d6039a01f57163"),
+    ("monomino", 4): ("42205d2400754326", "91d6039a01f57163"),
+    ("monomino", 5): ("42205d2400754326", "91d6039a01f57163"),
+    ("monomino", 6): ("42205d2400754326", "91d6039a01f57163"),
+    ("monomino", 7): ("42205d2400754326", "91d6039a01f57163"),
+    ("monomino", 8): ("42205d2400754326", "91d6039a01f57163"),
+    ("domino", 1): ("c7739b0febc5a93d", "a5cabe61309cbdb1"),
+    ("domino", 2): ("8f63372f4bb0a542", "1f1868f06925b617"),
+    ("domino", 3): ("aa5e18355f3af2e5", "92727910df95b5cf"),
+    ("domino", 4): ("61cf2b2e0a075655", "483a3f3fdd3b94d3"),
+    ("domino", 5): ("222de3976bcb6282", "133d5ca9dfa83eb1"),
+    ("domino", 6): ("76d65969326a34bc", "0cca13884cf32543"),
+    ("domino", 7): ("ef2ffcbf20496fb4", "000b19d3ffff9b41"),
+    ("domino", 8): ("725ea2e8c4314e4c", "aec8621699ce0e30"),
+    ("tromino-right", 1): None,
+    ("tromino-right", 2): ("51d16bf8a00b60cd", "c5c25158dde5b90a"),
+    ("tromino-right", 3): ("904f069a5aa6617c", "c335c2cd654ba506"),
+    ("tromino-right", 4): ("2ad1be7521379b10", "bbbbac339d8030a4"),
+    ("tromino-right", 5): ("4ab5b1ed48e2165d", "e8b0380b3242e965"),
+    ("tromino-right", 6): ("60b5a047d94030a0", "cc836cde36d631a5"),
+    ("tromino-right", 7): ("4da29133e4249e42", "b713aeaec186b08b"),
+    ("tromino-right", 8): ("2b568a89b1a6c67e", "704ee2a9760e9cea"),
+    ("tetromino-L", 1): None,
+    ("tetromino-L", 2): ("353688b87025ed60", "86966fa2da7189c7"),
+    ("tetromino-L", 3): ("488f105ada2079ec", "a119d90a2fe8f549"),
+    ("tetromino-L", 4): ("b60630b8fd78640d", "215c53af80492891"),
+    ("tetromino-L", 5): ("b2f97057946ac819", "c1de48c0212b21e8"),
+    ("tetromino-L", 6): ("faa29b13ce045a93", "3ca19b50044c30e8"),
+    ("tetromino-L", 7): ("748a5cb01bef6514", "2ddb1ab1c2eed95a"),
+    ("tetromino-L", 8): ("941eb73376ac68d6", "9893dfdf0e9629aa"),
+    ("tetromino-T", 1): None,
+    ("tetromino-T", 2): ("367dd48e00ba1261", "91d6039a01f57163"),
+    ("tetromino-T", 3): ("87d755b7548be81a", "f6f253fd9d30f213"),
+    ("tetromino-T", 4): ("238c03a4554ea6ac", "a0f4c97c830be753"),
+    ("tetromino-T", 5): ("41021220707274cc", "9e2951e333e7c8ae"),
+    ("tetromino-T", 6): ("691af7c1fd15d245", "52ab009c88422be8"),
+    ("tetromino-T", 7): ("301190d9051b7e60", "2da4cf3b07dcf83a"),
+    ("tetromino-T", 8): ("10fa7c133932e240", "5be84a00276dab7a"),
+    ("tetromino-T", 16): ("849b533431f9cb1d", "837295dfcc7239f3"),
+    ("domino", 12): ("46a408f6b82c8dd1", "75d61a35a6e68dde"),
+}
+
+
+@pytest.mark.parametrize("name, width", sorted(RAW_DIGESTS))
+def test_raw_automaton_numbering_pinned(name, width):
+    if RAW_DIGESTS[name, width] is None:
+        with pytest.raises(AutomatonError):
+            build_automaton(preset(name), width)
+        return
+    auto = build_automaton(preset(name), width)
+    texts = (to_dot(auto), repr(auto.states))
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts)
+    assert digests == RAW_DIGESTS[name, width]
+
+
+def test_state_budget():
+    # the domino width-20 automaton would have 184756 states
+    with pytest.raises(StateBudgetError, match=str(MAX_STATES)):
+        build_automaton(preset("domino"), 20)
+    assert not issubclass(StateBudgetError, AutomatonError)  # exit 1, not 2
+    # the widest preset strip README names as fitting
+    assert len(build_automaton(preset("tetromino-L"), 9).states) == 23728
+
+
+STEPS = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+# each move grows the shape by one cell next to an existing one: 1-5 cells
+GROWTH = st.lists(st.tuples(st.integers(0, 4), st.sampled_from(STEPS)), max_size=4)
+
+
+def _grid(moves) -> str:
+    cells = [(0, 0)]
+    for k, (dr, dc) in moves:
+        r, c = cells[k % len(cells)]
+        if (r + dr, c + dc) not in cells:
+            cells.append((r + dr, c + dc))
+    p = Polyomino(frozenset(cells))
+    return "\n".join(
+        "".join("#" if (r, c) in p.cells else "." for c in range(p.width)) for r in range(p.height)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(GROWTH, min_size=1, max_size=2),
+    symmetry=st.sampled_from(["all", "rotations", "none"]),
+    width=st.integers(1, 5),
+)
+def test_automaton_matches_oracle_on_random_tile_sets(shapes, symmetry, width):
+    text = f"@symmetry: {symmetry}\n" + "\n\n".join(map(_grid, shapes))
+    tiles = parse_tile_file(text)
+    try:
+        auto = build_automaton(tiles, width)
+    except AutomatonError:
+        assert all(v.height > width for v in tiles.variants)
+        return
+    counts = series(auto, 36 // width).terms
+    assert series(trim_reachable(auto), 36 // width).terms == counts
+    assert counts[0] == 1
+    # The oracle scans rows; on the transposed rectangle those are the short
+    # sides, so its dead ends stay few (along a 2x18 strip they took 7 s).
+    transposed = make_tileset(
+        [Polyomino(frozenset((c, r) for r, c in v.cells)) for v in tiles.variants], False, False
+    )
+    area = math.gcd(*(v.area for v in tiles.variants))
+    for length, count in enumerate(counts[1:], start=1):
+        if width * length % area:  # the oracle would search every dead end to learn this
+            assert count == 0, (text, width, length)
+        elif count <= 5000:  # it visits tilings one by one: past that smaller rectangles decide
+            assert brute_force_count(transposed, length, width) == count, (text, width, length)

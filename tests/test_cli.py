@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import tesserae
 from tesserae.cli import main, render_json
 
 
@@ -158,6 +163,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "fylfot", "--width", "14", "--length", "14")
         assert code == 1
         assert "budget" in err
+
+    def test_states_past_budget(self, capsys):
+        # 184756 states in all; the build stops at the budget, well short of them
+        start = time.perf_counter()
+        code, _, err = run(capsys, "count", "--tiles", "domino", "--width", "20", "--length", "2")
+        assert code == 1
+        assert "states" in err
+        assert time.perf_counter() - start < 5.0
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(tesserae.__file__).resolve().parents[1])
+    code = "import sys; import tesserae.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert proc.returncode == 0
 
 
 class TestJsonRoundTrip:
