@@ -10,6 +10,7 @@ powers of a nonnegative integer matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator
 
 from .poly import Polyomino, TileSet
@@ -41,7 +42,8 @@ class TransferAutomaton:
     that row is already covered (the build packs column-major, then repacks
     once).  edges[i] holds the (j, ways) pairs, j ascending and ways > 0,
     for the ways to fill one column entering with profile states[i] and
-    leaving states[j].  Counts of m x n rectangles are (matrix^n)[start][start].
+    leaving states[j]: the nonzero entries of the transfer matrix, whose
+    n-th power has the count of m x n rectangles at [start][start].
     """
 
     width: int
@@ -49,12 +51,6 @@ class TransferAutomaton:
     states: tuple[int, ...]
     start: int
     edges: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Dense n x n view of edges, for inspection only; the library never reads it."""
-        n = len(self.states)
-        return tuple(tuple(row.get(j, 0) for j in range(n)) for row in map(dict, self.edges))
 
 
 @dataclass(frozen=True)
@@ -223,10 +219,12 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
 def brute_force_count(tiles: TileSet, width: int, length: int, max_cells: int = 64) -> int:
     """Count tilings by exhaustive backtracking over the whole rectangle.
 
-    Independent oracle: shares nothing with build_automaton.  The grid is
-    scanned row-major (the automaton scans column-major) and each step
-    covers the first empty cell with every variant whose scan-first cell
-    lands on it.
+    Independent oracle: shares nothing with build_automaton.  It returns 0 at
+    once when the area is not a multiple of the gcd of the tile areas.  The
+    grid is scanned row-major along its short side (a rectangle longer than
+    wide is transposed together with the variants, which keeps dead ends
+    few), and each step covers the first empty cell with every variant whose
+    scan-first cell lands on it.
     """
     if width < 1 or length < 0:
         raise ValueError("need width >= 1 and length >= 0")
@@ -234,10 +232,16 @@ def brute_force_count(tiles: TileSet, width: int, length: int, max_cells: int = 
         raise OracleLimitError(
             f"{width}x{length} rectangle exceeds the {max_cells}-cell oracle budget"
         )
+    if width * length % (gcd(*(v.area for v in tiles.variants)) or 1):  # gcd() = 0: no tiles
+        return 0
+    variants = [v.cells for v in tiles.variants]
+    if length > width:
+        width, length = length, width
+        variants = [[(c, r) for r, c in cells] for cells in variants]
     shifted = []
-    for v in tiles.variants:
-        lead_col = min(c for r, c in v.cells if r == 0)
-        shifted.append(sorted((r, c - lead_col) for r, c in v.cells))
+    for cells in variants:
+        lead_col = min(c for r, c in cells if r == 0)
+        shifted.append(sorted((r, c - lead_col) for r, c in cells))
     full = (1 << (width * length)) - 1
 
     def count(occupied: int) -> int:

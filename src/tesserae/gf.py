@@ -1,13 +1,12 @@
 """Exact linear recurrences and rational generating functions.
 
-Everything here is integer or rational arithmetic; no floating point.
+Everything here is integer arithmetic, fraction-free; no floating point.
 Polynomials are tuples of coefficients in ascending powers of z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .automaton import CountSeries, TransferAutomaton, series, trim_reachable
@@ -38,58 +37,53 @@ def _sub(p, q) -> tuple[int, ...]:
     return _strip(out)
 
 
-def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    db = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        factor = a[-1] / lead
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _primitive(p: list[Fraction]) -> tuple[int, ...]:
-    scale = 1
-    for c in p:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in p]
+def _primitive(p) -> tuple[int, ...]:
     content = 0
-    for c in ints:
+    for c in p:
         content = gcd(content, c)
-    if ints[-1] < 0:
+    if p[-1] < 0:
         content = -content
-    return tuple(c // content for c in ints)
+    return tuple(c // content for c in p)
+
+
+def _prem(a, b) -> tuple[int, ...]:
+    # primitive part of the remainder of a by b, fraction-free: each step scales
+    # a by lead(b)/g and cancels its lead with lead(a)/g times b
+    a = list(a)
+    while len(a) >= len(b):
+        g = gcd(a[-1], b[-1])
+        fa, fb, shift = b[-1] // g, a[-1] // g, len(a) - len(b)
+        a = [fa * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= fb * c
+        while a and not a[-1]:
+            a.pop()
+    return _primitive(a) if a else ()
 
 
 def poly_gcd(p, q) -> tuple[int, ...]:
-    """Polynomial gcd over the rationals, as a primitive integer polynomial
+    """Polynomial gcd over ℤ, fraction-free, by a primitive pseudo-remainder
+    sequence: the gcd over the rationals as a primitive integer polynomial
     with positive leading coefficient."""
-    a = [Fraction(c) for c in _strip(p)]
-    b = [Fraction(c) for c in _strip(q)]
+    a, b = _strip(p), _strip(q)
     if not a:
         return _primitive(b) if b else ()
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, _prem(a, b)
     return _primitive(a)
 
 
 def _exact_div(p, g) -> tuple[int, ...]:
-    # p / g with zero remainder guaranteed; integer result by Gauss's lemma
-    rem = [Fraction(c) for c in p]
-    div = [Fraction(c) for c in g]
-    out = [Fraction(0)] * (len(rem) - len(div) + 1)
-    lead = div[-1]
+    # p / g with zero remainder guaranteed; integer result by Gauss's lemma,
+    # as g is primitive
+    rem = list(p)
+    out = [0] * (len(rem) - len(g) + 1)
     for shift in range(len(out) - 1, -1, -1):
-        factor = rem[shift + len(div) - 1] / lead
-        out[shift] = factor
-        for i, c in enumerate(div):
+        factor = out[shift] = rem[shift + len(g) - 1] // g[-1]
+        for i, c in enumerate(g):
             rem[shift + i] -= factor * c
-    assert all(c == 0 for c in rem), "non-exact polynomial division"
-    return tuple(int(c) for c in out)
+    assert not any(rem), "non-exact polynomial division"
+    return tuple(out)
 
 
 def _reduced(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -162,41 +156,42 @@ def resample(s: CountSeries, k: int) -> list[int]:
 def infer_recurrence(terms) -> LinearRecurrence:
     """Minimal integer linear recurrence of the terms, by Berlekamp-Massey.
 
-    Berlekamp-Massey over the rationals finds the shortest linear feedback
+    Berlekamp-Massey over ℤ, fraction-free, finds the shortest linear feedback
     shift register that generates every given term: the linear complexity L
     and the connection polynomial C = 1 - c1 z - ... - cd z^d, d <= L.  The
     recurrence a[t] = c1 a[t-1] + ... + cd a[t-d] then holds for t >= L,
     which is reported as valid_from, so transients are allowed.  It is
     accepted only when C is integral and at least order + 2 terms lie past
     L.  The margin always holds when L <= len(terms) / 2 - 1, which also
-    makes C the unique minimal connection polynomial of the terms.
+    makes C the unique minimal connection polynomial of the terms.  Each
+    update cross-multiplies by the two discrepancies and divides out the
+    content, so C is carried up to scale and divided by C(0) at the end.
     """
     a = [int(x) for x in terms]
     n = len(a)
-    c, b = [Fraction(1)], [Fraction(1)]  # current and last-length-change registers
-    length, gap, b_disc = 0, 1, Fraction(1)
+    c, b = (1,), (1,)  # current and last-length-change registers, up to scale
+    length, gap, b_disc = 0, 1, 1
     for t in range(n):
         disc = sum(x * y for x, y in zip(c, a[t::-1]))
         if disc == 0:
             gap += 1
             continue
-        scale = disc / b_disc
-        nxt = c + [Fraction(0)] * (len(b) + gap - len(c))
+        nxt = [b_disc * x for x in c] + [0] * (len(b) + gap - len(c))
         for j, x in enumerate(b):
-            nxt[j + gap] -= scale * x
+            nxt[j + gap] -= disc * x
         if 2 * length <= t:
             length, b, b_disc, gap = t + 1 - length, c, disc, 1
         else:
             gap += 1
-        c = nxt
+        c = _primitive(nxt)
     poly = _strip(c)
     order = len(poly) - 1
-    if n - length < order + 2 or any(x.denominator != 1 for x in poly):
+    if n - length < order + 2 or any(x % poly[0] for x in poly):
         raise RecurrenceError(
             f"{n} terms leave {n - length} past the linear complexity {length}, "
             f"too few to check an order-{order} integer recurrence; supply a longer series"
         )
-    return LinearRecurrence(order=order, coeffs=tuple(-int(x) for x in poly[1:]),
+    return LinearRecurrence(order=order, coeffs=tuple(-x // poly[0] for x in poly[1:]),
                             valid_from=length)
 
 
@@ -270,10 +265,6 @@ def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
     if not k:
         raise NoTilingsError(f"width {a.width} admits no tiling of any positive length")
     return level, k
-
-
-def _period(a: TransferAutomaton) -> int:
-    return _levels_and_period(a)[1]
 
 
 def strip_gf(auto: TransferAutomaton) -> RationalGF:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -178,6 +179,48 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys; import tesserae.cli; sys.exit('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
     assert proc.returncode == 0
+
+
+# SHA-256 of the --json reports, recorded before the gf layer became
+# integer-only.  These run recurrence orders 10-36 on 138-506 resampled terms,
+# with coefficients of up to 72 bits, beyond every README case.
+LARGER_GF_DIGESTS = [
+    ("gf", "tromino-right", 8,
+     "75e77714a891da420d3deb773d903d56cd606958a7c124d208084a2cf25735c1"),
+    ("faultfree", "tromino-right", 8,
+     "cc69b7159583bbaaaa24e9908313940bc1f20c537c20e87d49617fcded1f148d"),
+    ("entropy", "tromino-right", 8,
+     "fae3ce75e51b5eaa77745e67033b4e28bd963b85ba1bd17cf3854e03c8419044"),
+    ("gf", "tetromino-L", 6,
+     "44eda4ae7b1c044c01b0e1941517827ce22e553e27cee3cd423fa3a0d9c670b0"),
+    ("faultfree", "tetromino-L", 6,
+     "d889fbe721ca754d152a3ddf6759fc7d0673a32a8bb3b800235a26a91ccd6eca"),
+    ("entropy", "tetromino-L", 6,
+     "745dc0ccabc1ccbf06b13355ad624e16a7127382ebe84c18be3ee86bd2d36f5d"),
+    ("gf", "domino", 10,
+     "4b37d156134b9bf48f512e60b8ae9c609cf87adeb50682bbe971e42fd9a47632"),
+    ("faultfree", "domino", 10,
+     "a26af21225b07eb9d3c28abc898903b0ea0789181768c78b6cf86e9e33389acc"),
+    ("entropy", "domino", 10,
+     "2d5204790dedda7e5e028e2b9d477f849b380168a21b243329904fb182fb3a7c"),
+    ("gf", "tetromino-T", 16,
+     "ab04ed45d04c6c8d36d712503a98f541ad37fefdd69f4770c5ae4e52cae759f8"),
+    ("faultfree", "tetromino-T", 16,
+     "35ea03e7505bf950df8afb810a12b3e9bf33e74b111a8f31e28e565de16f39b5"),
+    ("entropy", "tetromino-T", 16,
+     "0ed72bd41a58c8d31e49185c837d77b66228e711bd87a1a4195205d50f570eab"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, tiles, width, digest",
+    LARGER_GF_DIGESTS,
+    ids=[f"{c}-{t}-{w}" for c, t, w, _ in LARGER_GF_DIGESTS],
+)
+def test_larger_gf_reports_pinned(capsys, command, tiles, width, digest):
+    code, out, err = run(capsys, command, "--tiles", tiles, "--width", str(width), "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestJsonRoundTrip:

@@ -237,8 +237,37 @@ def test_expand_infer_round_trip(num, den_tail):
     g = RationalGF(tuple(num), (1, *den_tail), 1)
     terms = expand(g, 23)
     rec = infer_recurrence(terms)
-    rebuilt = recurrence_to_gf(rec, terms)
-    assert expand(rebuilt, 23) == terms
+    assert recurrence_to_gf(rec, terms) == g  # the inferred recurrence is minimal
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    factor=st.lists(st.integers(-20, 20), min_size=0, max_size=4),
+    u=st.lists(st.integers(-20, 20), min_size=0, max_size=6),
+    v=st.lists(st.integers(-20, 20), min_size=0, max_size=6),
+)
+def test_poly_gcd_matches_sympy(factor, u, v):
+    # planted common factor; empty or all-zero lists give zero polynomials
+    # and one-element lists constants
+    sympy = pytest.importorskip("sympy")
+    p, q = _mul(factor, u), _mul(factor, v)
+    x = sympy.Symbol("x")
+    want = sympy.Poly(p[::-1] or [0], x, domain="ZZ").gcd(sympy.Poly(q[::-1] or [0], x))
+    if want.is_zero:
+        assert poly_gcd(p, q) == ()
+        return
+    want = want.primitive()[1]
+    if want.LC() < 0:
+        want = -want
+    assert poly_gcd(p, q) == tuple(int(c) for c in reversed(want.all_coeffs()))
 
 
 @settings(deadline=None, max_examples=80)
@@ -253,7 +282,7 @@ def test_faultfree_involution_random(num_tail, den_tail):
 
 def test_graph_period_step_matches_series_gcd():
     from tesserae import AutomatonError, trim_reachable
-    from tesserae.gf import _period
+    from tesserae.gf import _levels_and_period
 
     for name in ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]:
         for width in range(1, 7):
@@ -265,6 +294,6 @@ def test_graph_period_step_matches_series_gcd():
                 k = detect_step(series(auto, 24))
             except NoTilingsError:
                 with pytest.raises(NoTilingsError):
-                    _period(trim_reachable(auto))
+                    _levels_and_period(trim_reachable(auto))[1]
                 continue
-            assert _period(trim_reachable(auto)) == k, (name, width)
+            assert _levels_and_period(trim_reachable(auto))[1] == k, (name, width)

@@ -91,7 +91,7 @@ class TestPerron:
     def test_row_sum_bracketing(self):
         for name, width in [("domino", 2), ("tromino-right", 4), ("tetromino-L", 4)]:
             auto = trim_reachable(build_automaton(preset(name), width))
-            sums = [sum(row) for row in auto.matrix]
+            sums = [sum(w for _, w in out) for out in auto.edges]
             lam = perron_root(auto)
             assert min(s for s in sums if s) - 1e-9 <= lam <= max(sums) + 1e-9
 
