@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .automaton import TransferAutomaton
-from .gf import RationalGF, expand
+from .gf import RationalGF
 from .poly import TileSet
+
+
+# power iteration stops once the Rayleigh quotient moves by less than
+# PERRON_TOL (relative) on three steps running, or fails after PERRON_MAX_ITER
+PERRON_TOL = 1e-13
+PERRON_MAX_ITER = 200_000
 
 
 class SpectralError(ValueError):
@@ -30,99 +35,67 @@ def _char_poly(den: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(den))
 
 
-def _sign_at(p: tuple[int, ...], x: Fraction) -> int:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return (acc > 0) - (acc < 0)
+def _value(p: tuple[int, ...], m: int, e: int) -> int:
+    # 2^(e*d) * p(m / 2^e), by Horner's rule in the integers
+    acc = 0
+    for i, c in enumerate(reversed(p)):
+        acc = acc * m + (c << (e * i))
+    return acc
 
 
-def _ratio_estimate(g: RationalGF) -> float | None:
-    terms = expand(g, 80)
-    for window in range(1, 9):
-        for i in range(len(terms) - 1, window - 1, -1):
-            if terms[i] and terms[i - window]:
-                bits = terms[i].bit_length() - terms[i - window].bit_length()
-                try:
-                    ratio = terms[i] / terms[i - window]
-                except OverflowError:
-                    ratio = 2.0 ** bits
-                if ratio > 0:
-                    return ratio ** (1.0 / window) if window > 1 else ratio
-                break
-    return None
-
-
-def _bisect(p: tuple[int, ...], lo: Fraction, hi: Fraction) -> float:
-    # precondition: p(lo) < 0 < p(hi)
-    for _ in range(90):
-        mid = (lo + hi) / 2
-        s = _sign_at(p, mid)
-        if s == 0:
-            return float(mid)
-        if s > 0:
-            hi = mid
-        else:
-            lo = mid
-    return float((lo + hi) / 2)
-
-
-def _scan_bracket(p: tuple[int, ...], bound: Fraction) -> tuple[Fraction, Fraction] | None:
-    # walk down from the root bound on ever finer grids; the first point with
-    # p <= 0 brackets the largest positive root from below
-    for halvings in range(13):
-        step = Fraction(1, 1 << halvings)
-        x = bound
-        while x > 0:
-            x = max(x - step, Fraction(0))
-            s = _sign_at(p, x)
-            if s == 0:
-                return x, x
-            if s < 0:
-                return x, x + step
-    return None
+def _variations(p: tuple[int, ...], m: int, e: int) -> int:
+    # sign changes of p(x + m / 2^e); the Taylor shift runs on the integer
+    # coefficients of 2^(e*d) * p((y + m) / 2^e), which differ from those of
+    # p(x + m / 2^e) by positive powers of two
+    d = len(p) - 1
+    a = [c << (e * (d - i)) for i, c in enumerate(p)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += m * a[j + 1]
+    signs = [c > 0 for c in a if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def dominant_root(g: RationalGF) -> float:
-    """Largest positive real root of x^d den(1/x): the per-step growth rate.
+    """Growth rate per step: the rightmost root of x^d den(1/x), correctly rounded.
 
-    A ratio of late series coefficients seeds the bracket; all bracketing
-    and bisection signs are evaluated exactly at rational points, so large
-    coefficients cannot mislead the search.
+    A dyadic bracket [lo, hi] / 2^e, from [0, a power of two past Fujiwara's
+    root bound], is halved by Descartes' rule of signs until it counts exactly
+    one root above lo, then by exact signs until both ends round to one double.
+    SpectralError when that root is not real, positive and simple: no positive
+    root, a multiple one, or more roots counted at the end, as for a complex
+    pair near the axis to its right.  A pair far off the axis escapes the count
+    (x^4 - 3x^3 + 7x^2 + 21x - 26 gives 1.0 past roots 2 +- 3i).  For a strip gf
+    the rightmost root is always real, positive and simple: Pringsheim's theorem
+    puts it on the positive axis, Perron-Frobenius makes it simple, as every
+    trimmed state lies on a start-to-start path.
     """
     den = g.den
     if len(den) < 2:
         raise SpectralError("constant denominator has no growth rate")
     p = _char_poly(den)
-    bound = Fraction(1 + max(abs(c) for c in p[:-1]))
-
-    intervals: list[tuple[Fraction, Fraction]] = []
-    estimate = _ratio_estimate(g)
-    if estimate and estimate > 0 and math.isfinite(estimate):
-        e = Fraction(estimate).limit_denominator(1 << 24)
-        for spread in (Fraction(1, 64), Fraction(1, 8), Fraction(1, 2), Fraction(15, 16)):
-            intervals.append((max(e * (1 - spread), Fraction(0)), min(e * (1 + spread), bound)))
-
-    for lo, hi in intervals:
-        if lo >= hi:
-            continue
-        s_lo, s_hi = _sign_at(p, lo), _sign_at(p, hi)
-        if s_lo == 0:
-            lo -= Fraction(1, 1000003)
-            s_lo = _sign_at(p, lo)
-        if s_hi == 0:
-            hi += Fraction(1, 1000003)
-            s_hi = _sign_at(p, hi)
-        if s_lo < 0 < s_hi:
-            return _bisect(p, lo, hi)
-
-    scanned = _scan_bracket(p, bound)
-    if scanned is None:
+    # 2^k > 2 max |den[i]|^(1/i) >= every |root| (Fujiwara), as den[i] = p[d - i]
+    k = 1 + max(-(-abs(c).bit_length() // i) for i, c in enumerate(den) if i)
+    lo, hi, e = 0, 1 << k, 0
+    above = _variations(p, 0, 0)
+    if not above:
         raise SpectralError("no positive real root in the denominator spectrum")
-    lo, hi = scanned
-    if lo == hi:
-        return float(lo)
-    return _bisect(p, lo, hi)
+    while lo / (1 << e) != hi / (1 << e):
+        lo, mid, hi, e = 2 * lo, lo + hi, 2 * hi, e + 1
+        if above > 1:
+            count = _variations(p, mid, e)
+        else:
+            sign = _value(p, mid, e)
+            if not sign:
+                return mid / (1 << e)
+            count = int(sign < 0)  # p rises through its one root above lo
+        if count:
+            lo, above = mid, count
+        else:
+            hi = mid
+    if above > 1:
+        raise SpectralError("rightmost root of the denominator spectrum is not real and simple")
+    return lo / (1 << e)
 
 
 def residual(g: RationalGF, root: float) -> float:
@@ -137,7 +110,7 @@ def residual(g: RationalGF, root: float) -> float:
     return abs(value) / scale if scale else 0.0
 
 
-def perron_root(a: TransferAutomaton, tol: float = 1e-13, max_iter: int = 200_000) -> float:
+def perron_root(a: TransferAutomaton) -> float:
     """Per-column growth rate of the transfer matrix, by power iteration.
 
     Iterates on matrix + identity so that periodic automata (tiles that
@@ -154,14 +127,14 @@ def perron_root(a: TransferAutomaton, tol: float = 1e-13, max_iter: int = 200_00
     v = np.full(n, 1.0 / math.sqrt(n))
     prev = math.inf
     settled = 0
-    for it in range(max_iter):
+    for it in range(PERRON_MAX_ITER):
         w = np.bincount(src, weights=ways * v[dst], minlength=n) + v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             raise SpectralError("transfer matrix annihilated the iterate")
         quotient = float(v @ w) / float(v @ v)
         v = w / norm
-        if abs(quotient - prev) < tol * max(1.0, abs(quotient)):
+        if abs(quotient - prev) < PERRON_TOL * max(1.0, abs(quotient)):
             settled += 1
             if settled >= 3 and it >= 20:
                 return quotient - 1.0

@@ -115,6 +115,15 @@ class TestTileFiles:
         assert code == 2
         assert "tile" in err.lower()
 
+    @pytest.mark.parametrize("text", ["#.\n.#\n", "@symmetry: mirror\n##\n", "\n \n"])
+    def test_malformed_tile_file_exits_2(self, capsys, tmp_path, text):
+        # cells touching only at a corner, an unknown symmetry, no shape at all
+        path = tmp_path / "malformed.tiles"
+        path.write_text(text)
+        code, out, err = run(capsys, "gf", "--tiles", str(path), "--width", "2", "--json")
+        assert (code, out) == (2, "")
+        assert "tile" in err.lower()
+
     def test_tile_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "binary.tiles"
         path.write_bytes(b"\xff\xfe#\n")

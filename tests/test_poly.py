@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from tesserae import (
     Polyomino,
     TileError,
+    TileSet,
     make_tileset,
     orientations,
     parse_polyomino,
@@ -179,3 +180,20 @@ class TestTileFile:
     def test_empty_file(self):
         with pytest.raises(TileError):
             parse_tile_file("\n\n")
+
+
+# mostly tile-file characters, with any other character and a few header forms
+TILE_TEXT = st.tuples(
+    st.sampled_from(["", "@symmetry: all\n", "@symmetry: none\n", "@symmetry:", " @symmetry: x\n"]),
+    st.text(st.sampled_from("#.\n \t\r\x0b\x0c\u2028@:") | st.characters(), max_size=60),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TILE_TEXT)
+def test_tile_file_parser_raises_only_tile_errors(text):
+    try:
+        tiles = parse_tile_file(text)
+    except TileError:
+        return
+    assert isinstance(tiles, TileSet) and tiles.variants

@@ -1,9 +1,16 @@
 import dataclasses
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_automaton import GROWTH, _grid
+from test_gf import _mul
 
 from tesserae import (
+    AutomatonError,
+    NoTilingsError,
     RationalGF,
     SpectralError,
     build_automaton,
@@ -11,16 +18,20 @@ from tesserae import (
     dominant_root,
     entropy_lower,
     entropy_upper,
+    expand,
     make_tileset,
     parse_polyomino,
+    parse_tile_file,
     perron_root,
     preset,
+    resample,
     residual,
     series,
     strip_entropy,
     strip_gf,
     trim_reachable,
 )
+from tesserae.gf import _levels_and_period
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -43,9 +54,24 @@ class TestDominantRoot:
             dominant_root(RationalGF((1, 1), (1,), 1))
 
     def test_no_positive_root(self):
-        # den = 1 + z: the only root of x + 1 is negative
+        # den = 1 + z: the only root of x + 1 is negative; refused at once,
+        # however far the root bound reaches
+        for den in [(1, 1), (1, 30)]:
+            start = time.perf_counter()
+            with pytest.raises(SpectralError):
+                dominant_root(RationalGF((1,), den, 1))
+            assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "den",
+        [
+            (1, -6, 6, 18, -27),  # (x - 3)^2 (x^2 - 3): sqrt(3) is simple, 3 double
+            (1, -5, 14, -13),  # real root 1.478, complex pair of real part 1.761
+        ],
+    )
+    def test_rightmost_root_not_real_and_simple(self, den):
         with pytest.raises(SpectralError):
-            dominant_root(RationalGF((1,), (1, 1), 1))
+            dominant_root(RationalGF((1,), den, 1))
 
 
 class TestPerron:
@@ -155,3 +181,105 @@ class TestStripEntropy:
         report = strip_entropy(g, 4)
         assert report.sites_per_step == 16
         assert report.lambda_ == 3.0
+
+
+# float.hex of the growth rate of each preset strip, recorded with the earlier
+# ratio-seeded rational bisection, an independent root search; --json prints
+# 12 digits, so these pin every bit of the float
+ROOT_HEX = {
+    ("domino", 2): "0x1.9e3779b97f4a8p+0",
+    ("domino", 3): "0x1.ddb3d742c2655p+1",
+    ("domino", 4): "0x1.6b96b0a45efe2p+1",
+    ("domino", 5): "0x1.91666fb332a49p+3",
+    ("domino", 6): "0x1.432176315d291p+2",
+    ("domino", 7): "0x1.4963c564ac534p+5",
+    ("domino", 8): "0x1.203a249514a2dp+3",
+    ("domino", 9): "0x1.0bdb84cca291bp+7",
+    ("domino", 10): "0x1.0180a9bb7ec43p+4",
+    ("tromino-right", 4): "0x1.a2eb3c9816118p+2",
+    ("tromino-right", 5): "0x1.8ba32972838aep+3",
+    ("tromino-right", 6): "0x1.947639bcc28c3p+1",
+    ("tromino-right", 7): "0x1.0d111d9e16322p+6",
+    ("tromino-right", 8): "0x1.38b57cd5bef29p+7",
+    ("tromino-right", 9): "0x1.c6659269be21bp+2",
+    ("tetromino-L", 4): "0x1.16252204ba708p+2",
+    ("tetromino-L", 5): "0x1.ed10d0d2c74fdp+9",
+    ("tetromino-L", 6): "0x1.0a33f53833d39p+7",
+    ("tetromino-L", 7): "0x1.626ebc9fbb61bp+16",
+    ("tetromino-T", 8): "0x1.c2a5fd9b1ee1dp+3",
+    ("tetromino-T", 12): "0x1.0b3cccd213e1ep+6",
+}
+
+
+@pytest.mark.parametrize("name, width", ROOT_HEX, ids=[f"{n}-{w}" for n, w in ROOT_HEX])
+def test_preset_roots_pinned(name, width):
+    g = strip_gf(build_automaton(preset(name), width))
+    assert dominant_root(g).hex() == ROOT_HEX[name, width]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shapes=st.lists(GROWTH, min_size=1, max_size=2),
+    symmetry=st.sampled_from(["all", "rotations", "none"]),
+    width=st.integers(1, 4),
+)
+def test_independent_routes_agree_on_random_tile_sets(shapes, symmetry, width):
+    tiles = parse_tile_file(f"@symmetry: {symmetry}\n" + "\n\n".join(map(_grid, shapes)))
+    try:
+        auto = build_automaton(tiles, width)
+    except AutomatonError:
+        return
+    trimmed = trim_reachable(auto)
+    # closed walks through the start of length below 2 * states already have
+    # the period as their gcd: for each edge i -> j, BFS path to i, the edge
+    # and a path home, against BFS path to j and the same path home
+    prefix = series(auto, 2 * len(trimmed.states))
+    try:
+        level, step = _levels_and_period(trimmed)
+    except NoTilingsError:
+        with pytest.raises(NoTilingsError):
+            detect_step(prefix)
+        return
+    assert detect_step(prefix) == step
+    # strip_gf's exact Berlekamp-Massey and gcd on 2 r0 + 2 terms grow steeply
+    # with the order: domino plus I-pentomino at width 4 (r0 = 625, order 320)
+    # takes 210 s, so the gf routes run on start classes of up to 200 states
+    if sum(1 for v in level if v % step == 0) > 200:
+        return
+    g = strip_gf(auto)
+    assert g.step == step
+    assert expand(g, 30) == resample(series(auto, 30 * step), step)
+    assert perron_root(trimmed) ** step == pytest.approx(dominant_root(g), rel=1e-9, abs=0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    factor=st.lists(st.integers(-20, 20), max_size=2),
+    power=st.integers(0, 3),
+    tail=st.lists(st.integers(-20, 20), max_size=5),
+)
+def test_dominant_root_matches_sympy(factor, power, tail):
+    # planted repeated factors give multiple roots; zero tails give constants
+    sympy = pytest.importorskip("sympy")
+    den = [1, *tail]
+    for _ in range(power):
+        den = _mul(den, [1, *factor])
+    g = RationalGF((1,), tuple(den), 1)
+    if len(g.den) < 2:
+        return
+    x = sympy.Symbol("x")
+    factors = sympy.Poly(g.den, x).sqf_list()[1]
+    roots = [(z, m) for f, m in factors for z in f.nroots(n=60, maxsteps=500)]
+    r, m = max(((z, m) for z, m in roots if z.is_real), key=lambda t: t[0], default=(0, 1))
+    try:
+        got = dominant_root(g)
+    except SpectralError:
+        got = None
+    if r <= 0 or m > 1:
+        assert got is None
+    elif all(sympy.re(z) < r * (1 - 1e-9) for z, _ in roots if z != r):
+        assert got == float(r)
+    else:
+        # another root at, right of or within 1e-9 r of r in real part:
+        # Descartes' rule counts a complex pair near the axis, not one far off it
+        assert got in (None, float(r))
