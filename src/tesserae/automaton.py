@@ -37,19 +37,18 @@ MAX_STATES = 25_000
 class TransferAutomaton:
     """Counts strip tilings one column step at a time.
 
-    states[i] is a boundary profile packed into an integer, row-major: bit
-    (row * reach + j) is set when the cell j+1 columns past the boundary in
-    that row is already covered (the build packs column-major, then repacks
-    once).  edges[i] holds the (j, ways) pairs, j ascending and ways > 0,
-    for the ways to fill one column entering with profile states[i] and
-    leaving states[j]: the nonzero entries of the transfer matrix, whose
-    n-th power has the count of m x n rectangles at [start][start].
+    states[i] is a boundary profile packed into an integer, column-major: bit
+    (j * width + row) is set when the cell j+1 columns past the boundary in
+    that row is already covered.  State 0 is the empty start profile; every
+    state lies on a start-to-start path, so the automaton is strongly
+    connected.  edges[i] holds the (j, ways) pairs, j ascending and ways > 0,
+    for the ways to fill one column from states[i] to states[j]: the nonzero
+    entries of the transfer matrix A, and (A^n)[0][0] counts m x n rectangles.
     """
 
     width: int
     reach: int
     states: tuple[int, ...]
-    start: int
     edges: tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -80,24 +79,11 @@ def _anchored_masks(variant: Polyomino, width: int) -> Iterator[tuple[int, int]]
             yield anchor, mask
 
 
-def _pack(window: int, width: int, reach: int) -> int:
-    """Repack a column-major profile (column j at bits j*width..) row-major."""
-    packed = 0
-    for j in range(reach):
-        col, row = window >> (j * width) & ((1 << width) - 1), 0
-        while col:
-            if col & 1:
-                packed |= 1 << (row * reach + j)
-            col >>= 1
-            row += 1
-    return packed
-
-
 def _profile_label(packed: int, width: int, reach: int) -> str:
     if reach == 0:
         return "flush"
     rows = (
-        "".join("#" if packed >> (i * reach + j) & 1 else "." for j in range(reach))
+        "".join("#" if packed >> (j * width + i) & 1 else "." for j in range(reach))
         for i in range(width)
     )
     return "/".join(rows)
@@ -112,8 +98,8 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     reach + 1 columns is one integer, column j at bits j*width.., and each
     placement is one mask over it, tested and set in single AND/OR steps.
     Profiles are discovered lazily from the all-empty start profile, never
-    enumerated wholesale; more than MAX_STATES raise StateBudgetError.
-    Variants taller than the strip are dropped here.
+    enumerated wholesale; finding more than MAX_STATES raises StateBudgetError.
+    Variants taller than the strip are dropped; the result is trimmed.
     """
     if width < 1:
         raise AutomatonError("strip width must be at least 1")
@@ -152,8 +138,7 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
         fill(profile)
         edges.append(tuple(sorted(counts.items())))
 
-    states = tuple(_pack(p, width, reach) for p in profiles)
-    return TransferAutomaton(width=width, reach=reach, states=states, start=0, edges=tuple(edges))
+    return trim_reachable(TransferAutomaton(width, reach, tuple(profiles), tuple(edges)))
 
 
 def _apply(edges: tuple[tuple[tuple[int, int], ...], ...], vec: list[int]) -> list[int]:
@@ -174,21 +159,21 @@ def series(a: TransferAutomaton, length: int) -> CountSeries:
     """Counts N(0..length) from one iterated sparse matrix-vector sweep."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    vec = [0] * len(a.states)
-    vec[a.start] = 1
+    vec = [1] + [0] * (len(a.states) - 1)
     terms = [1]
     for _ in range(length):
         vec = _apply(a.edges, vec)
-        terms.append(vec[a.start])
+        terms.append(vec[0])
     return CountSeries(width=a.width, terms=tuple(terms))
 
 
 def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
     """Drop states that cannot lie on any start-to-start path.
 
-    Keeps exactly the states reachable from the start profile and
-    co-reachable back to it; every count N(n) is unchanged.  Returns a
-    itself when every state is kept.
+    Keeps exactly the states reachable from state 0, the start, and
+    co-reachable back to it, renumbered monotonically; every count N(n) is
+    unchanged.  Returns a itself when every state is kept, as for whatever
+    build_automaton returns, which it trims; public for hand-built automata.
     """
     fwd = [[j for j, _ in out] for out in a.edges]
     back: list[list[int]] = [[] for _ in fwd]
@@ -197,11 +182,9 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
             back[j].append(i)
 
     def closure(adj: list[list[int]]) -> set[int]:
-        seen = {a.start}
-        stack = [a.start]
+        seen, stack = {0}, [0]
         while stack:
-            x = stack.pop()
-            for y in adj[x]:
+            for y in adj[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -213,7 +196,7 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
     renumber = {i: k for k, i in enumerate(keep)}  # monotone, so edges stay ascending
     edges = tuple(tuple((renumber[j], w) for j, w in a.edges[i] if j in renumber) for i in keep)
     states = tuple(a.states[i] for i in keep)
-    return TransferAutomaton(a.width, a.reach, states, renumber[a.start], edges)
+    return TransferAutomaton(a.width, a.reach, states, edges)
 
 
 def brute_force_count(tiles: TileSet, width: int, length: int, max_cells: int = 64) -> int:
@@ -276,7 +259,7 @@ def to_dot(a: TransferAutomaton) -> str:
     lines = ["digraph transfer {", "  rankdir=LR;"]
     for i, packed in enumerate(a.states):
         label = _profile_label(packed, a.width, a.reach)
-        shape = ' shape="doublecircle"' if i == a.start else ""
+        shape = ' shape="doublecircle"' if i == 0 else ""
         lines.append(f'  s{i} [label="{label}"{shape}];')
     for i, out in enumerate(a.edges):
         for j, ways in out:

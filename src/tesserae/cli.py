@@ -18,6 +18,12 @@ EXIT_USAGE = 1
 EXIT_BAD_TILES = 2
 EXIT_NO_TILINGS = 3
 
+# --length budget of count, series and faultfree: L columns over n states and
+# e nonzeros cost L (n + e) (4096 + L b) bit operations, as a count gains at
+# most b = bit_length(largest row weight sum) bits a column, plus 4096 for each
+# multiply-add; about 2 s on one Xeon core (CPython 3.11): domino w16 L39, w12 L578.
+MAX_SWEEP_WORK = 5 * 10**10
+
 
 class UsageError(Exception):
     pass
@@ -101,6 +107,13 @@ def _check_length(length: int) -> None:
         raise UsageError("--length must be nonnegative")
 
 
+def _check_sweep(auto: am.TransferAutomaton, columns: int) -> None:
+    e = sum(len(out) for out in auto.edges)
+    b = max((sum(w for _, w in out) for out in auto.edges), default=0).bit_length()
+    if columns * (len(auto.states) + e) * (4096 + columns * b) > MAX_SWEEP_WORK:
+        raise UsageError(f"{columns} columns exceed the sweep budget at width {auto.width}")
+
+
 def _parse_beta(text: str) -> float:
     cleaned = text.replace(" ", "").lower()
     if cleaned in ("ln2/2", "ln(2)/2", "(ln2)/2", "0.5*ln2", "0.5ln2"):
@@ -117,7 +130,8 @@ def _round12(x: float) -> float:
 
 def _cmd_count(args) -> dict:
     _check_width(args.width), _check_length(args.length)
-    auto = am.trim_reachable(am.build_automaton(_tileset(args.tiles), args.width))
+    auto = am.build_automaton(_tileset(args.tiles), args.width)
+    _check_sweep(auto, args.length)
     n = am.count_rect(auto, args.length)
     return {"command": "count", "tiles": args.tiles, "width": args.width,
             "length": args.length, "count": str(n)}
@@ -125,7 +139,8 @@ def _cmd_count(args) -> dict:
 
 def _cmd_series(args) -> dict:
     _check_width(args.width), _check_length(args.length)
-    auto = am.trim_reachable(am.build_automaton(_tileset(args.tiles), args.width))
+    auto = am.build_automaton(_tileset(args.tiles), args.width)
+    _check_sweep(auto, args.length)
     s = am.series(auto, args.length)
     return {"command": "series", "tiles": args.tiles, "width": args.width,
             "length": args.length, "series": [str(t) for t in s.terms]}
@@ -154,6 +169,7 @@ def _cmd_faultfree(args) -> dict:
     _check_width(args.width), _check_length(args.length)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
     g = gfmod.faultfree(gfmod.strip_gf(auto))
+    _check_sweep(auto, args.length * g.step)  # its terms count blocks of up to that many columns
     terms = gfmod.expand(g, args.length)
     return {"command": "faultfree", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step,
@@ -207,7 +223,7 @@ def _cmd_fylfot(args) -> dict:
 
 def _cmd_dot(args) -> dict:
     _check_width(args.width)
-    auto = am.trim_reachable(am.build_automaton(_tileset(args.tiles), args.width))
+    auto = am.build_automaton(_tileset(args.tiles), args.width)
     return {"command": "automaton-dot", "tiles": args.tiles, "width": args.width,
             "states": len(auto.states), "dot": am.to_dot(auto)}
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .automaton import CountSeries, TransferAutomaton, series, trim_reachable
+from .automaton import CountSeries, TransferAutomaton, series
 
 
 class RecurrenceError(ValueError):
@@ -136,7 +136,8 @@ class LinearRecurrence:
 
 
 def detect_step(s: CountSeries) -> int:
-    """Gcd of all lengths n >= 1 with a nonzero count: the resampling unit."""
+    """Gcd of all lengths n >= 1 with a nonzero count: the series-side oracle
+    for the graph period that strip_gf takes as its resampling step k."""
     k = 0
     for n, term in enumerate(s.terms):
         if n and term:
@@ -247,12 +248,11 @@ def from_faultfree(g: RationalGF) -> RationalGF:
 
 
 def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
-    # BFS levels from the start, and the gcd of closed-walk lengths through the
-    # start of a trimmed automaton (one strongly connected component): gcd of
-    # level[i] + 1 - level[j] over edges
-    level = [-1] * len(a.states)
-    level[a.start] = 0
-    queue = [a.start]
+    # BFS levels from the start, state 0, and the gcd of closed-walk lengths
+    # through it; the automaton is one strongly connected component, so that
+    # is the gcd of level[i] + 1 - level[j] over edges
+    level = [0] + [-1] * (len(a.states) - 1)
+    queue = [0]
     for i in queue:
         for j, _ in a.edges[i]:
             if level[j] < 0:
@@ -270,16 +270,15 @@ def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
 def strip_gf(auto: TransferAutomaton) -> RationalGF:
     """Generating function of a strip automaton in resampled indexing.
 
-    Trims the automaton and takes the length step k exactly as the period of
-    its start state.  The states whose BFS level is 0 mod k form the start's
-    cyclic class; a[t] = N(k t) is read off the k-step transfer restricted to
-    those r0 states, so by Cayley-Hamilton its linear complexity is at most
-    r0.  Berlekamp-Massey on the 2 r0 + 2 terms a[0..2 r0 + 1] therefore
-    certifies the minimal recurrence (2 r0 terms fix it, two more meet the
-    verification margin of infer_recurrence), and Fatou's lemma makes the
-    reduced num/den integral.
+    Takes the length step k exactly as the period of state 0, the start (no
+    trim: build_automaton returns the trimmed automaton).  The states whose
+    BFS level is 0 mod k form the start's cyclic class; a[t] = N(k t) is read
+    off the k-step transfer restricted to those r0 states, so by
+    Cayley-Hamilton its linear complexity is at most r0.  Berlekamp-Massey on
+    the 2 r0 + 2 terms a[0..2 r0 + 1] therefore certifies the minimal
+    recurrence (2 r0 terms fix it, two more meet the verification margin of
+    infer_recurrence), and Fatou's lemma makes the reduced num/den integral.
     """
-    auto = trim_reachable(auto)
     level, k = _levels_and_period(auto)
     r0 = sum(1 for v in level if v % k == 0)
     a = resample(series(auto, k * (2 * r0 + 1)), k)

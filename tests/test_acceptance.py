@@ -27,7 +27,6 @@ from tesserae import (
     series,
     strip_gf,
     t_tetromino_bound,
-    trim_reachable,
 )
 
 CATALAN = 0.915965594177219015054603514932
@@ -205,7 +204,7 @@ def test_criterion_10_t_rectangles_need_sides_divisible_by_four():
 
 def test_criterion_11_dimer_reference():
     def body():
-        auto = trim_reachable(build_automaton(preset("domino"), 8))
+        auto = build_automaton(preset("domino"), 8)
         sigma = entropy_lower(perron_root(auto), 8)
         assert 0.27 <= sigma <= CATALAN / math.pi
         # same number through the generating-function route

@@ -182,6 +182,24 @@ class TestExitCodes:
         assert "states" in err
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--tiles", "domino", "--width", "2", "--length", "1000000000"),
+            ("count", "--tiles", "domino", "--width", "16", "--length", "40"),
+            ("series", "--tiles", "domino", "--width", "12", "--length", "579"),
+            ("faultfree", "--tiles", "domino", "--width", "2", "--length", "1000000"),
+        ],
+    )
+    def test_length_past_budget(self, capsys, argv):
+        # refused before the sweep or the expansion; the two middle lengths are
+        # one past the largest the MAX_SWEEP_WORK comment names
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "budget" in err
+        assert time.perf_counter() - start < 2.0
+
 
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(tesserae.__file__).resolve().parents[1])
