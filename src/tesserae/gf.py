@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .automaton import CountSeries, TransferAutomaton, series
+from .automaton import CountSeries, TransferAutomaton, _apply, series
 
 
 class RecurrenceError(ValueError):
@@ -267,19 +267,61 @@ def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
     return level, k
 
 
+def _annihilates(auto: TransferAutomaton, k: int, rec: LinearRecurrence, steps: int) -> bool:
+    # exact check over ℤ that rec holds for every t >= valid_from.  With
+    # B = A^k, x = e0 B^s (s = valid_from - order, e0 the start row) and
+    # q(z) = z^d - c1 z^(d-1) - ... - cd, the residual a[t] - c1 a[t-1] - ...
+    # - cd a[t-d] at t = valid_from + j is entry 0 of w B^j, w = x q(B), by
+    # Horner in d B-steps.  w B^j = 0 for some j <= steps clears every later
+    # residual; the prefix that Berlekamp-Massey read holds the earlier ones.
+    def times_b(v: list[int]) -> list[int]:
+        for _ in range(k):
+            v = _apply(auto.edges, v)
+        return v
+
+    x = [1] + [0] * (len(auto.states) - 1)
+    for _ in range(rec.valid_from - rec.order):
+        x = times_b(x)
+    w = x
+    for c in rec.coeffs:
+        w = [u - c * v for u, v in zip(times_b(w), x)]
+    for _ in range(steps):
+        if not any(w):
+            return True
+        w = times_b(w)
+    return not any(w)
+
+
 def strip_gf(auto: TransferAutomaton) -> RationalGF:
     """Generating function of a strip automaton in resampled indexing.
 
-    Takes the length step k exactly as the period of state 0, the start (no
-    trim: build_automaton returns the trimmed automaton).  The states whose
-    BFS level is 0 mod k form the start's cyclic class; a[t] = N(k t) is read
-    off the k-step transfer restricted to those r0 states, so by
-    Cayley-Hamilton its linear complexity is at most r0.  Berlekamp-Massey on
-    the 2 r0 + 2 terms a[0..2 r0 + 1] therefore certifies the minimal
-    recurrence (2 r0 terms fix it, two more meet the verification margin of
-    infer_recurrence), and Fatou's lemma makes the reduced num/den integral.
+    Takes the length step k exactly as the period of state 0, the start.  The
+    states whose BFS level is 0 mod k form the start's cyclic class; a[t] =
+    N(k t) is read off B = A^k restricted to those r0 states, so by
+    Cayley-Hamilton its linear complexity is at most r0, and often far less.
+    Berlekamp-Massey on 2 d + 2 terms, d = 8, 16, ... up to r0 / 4 and then
+    r0 // 2, proposes a recurrence, kept once _annihilates proves it for
+    every t; one that holds on every term is the unique minimal one.  With
+    no short prefix proved, Berlekamp-Massey on 2 r0 + 2 terms needs no check
+    (2 r0 terms fix the recurrence, two more meet the margin of
+    infer_recurrence).  The result is the same either way, and Fatou's lemma
+    makes the reduced num/den integral.  For an order near r0 the failed
+    prefixes add about a third of the r0 path's series and a seventh of its
+    Berlekamp-Massey work; an order just past a failed d costs most, as that
+    attempt's Berlekamp-Massey work nearly equals the final one's.
     """
     level, k = _levels_and_period(auto)
     r0 = sum(1 for v in level if v % k == 0)
+    tries = [8 << i for i in range(r0.bit_length()) if 32 << i <= r0]
+    if r0 >= 16:
+        tries.append(r0 // 2)
+    for d in tries:
+        a = resample(series(auto, k * (2 * d + 1)), k)
+        try:
+            rec = infer_recurrence(a)
+        except RecurrenceError:
+            continue
+        if _annihilates(auto, k, rec, len(a) - rec.valid_from - rec.order):
+            return recurrence_to_gf(rec, a, step=k)
     a = resample(series(auto, k * (2 * r0 + 1)), k)
     return recurrence_to_gf(infer_recurrence(a), a, step=k)

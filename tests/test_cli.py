@@ -236,6 +236,14 @@ LARGER_GF_DIGESTS = [
      "35ea03e7505bf950df8afb810a12b3e9bf33e74b111a8f31e28e565de16f39b5"),
     ("entropy", "tetromino-T", 16,
      "0ed72bd41a58c8d31e49185c837d77b66228e711bd87a1a4195205d50f570eab"),
+    # wall rows of the r0 path, recorded with it (11 s and 57 s for the
+    # first two); tromino-right width 8 is the first entry above
+    ("gf", "domino", 12,
+     "bde2b54d2911122bff042e40898734e75a562c7ee5283874c37610211468067e"),
+    ("gf", "tetromino-T", 20,
+     "35519e964ea853652f50a7ba0e28f16afe8094cb507175ec5e2535ee86d98a02"),
+    ("gf", "tromino-right", 9,
+     "2b8eab38897a0aac9c739f8cad4eab211cfbcf8a652f14249e6c4ac64df1021d"),
 ]
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from tesserae import (
     NoTilingsError,
     RationalGF,
     RecurrenceError,
+    TransferAutomaton,
     build_automaton,
     detect_step,
     expand,
@@ -21,6 +24,8 @@ from tesserae import (
     series,
     strip_gf,
 )
+from tesserae.gf import _annihilates, _levels_and_period
+from tesserae.poly import PRESETS
 
 TROMINO4 = RationalGF((1, -6), (1, -10, 22, 4), 3)
 TROMINO5 = RationalGF((1, -2, -31, -40, -20), (1, -2, -103, -280, -380), 3)
@@ -210,8 +215,9 @@ class TestNormalization:
 def test_round_trip_every_preset_width():
     # expand(infer(series)) reproduces the exact counts for every preset
     # and width up to 6 that admits any tiling at all, out to 60 resampled
-    # terms: past the 2 r0 + 2 terms that strip_gf reads, except for
-    # tetromino-L width 6 (r0 = 68, 138 terms)
+    # terms: past every prefix that strip_gf reads here except for
+    # tetromino-L width 6 (r0 = 68, order 29), where it reads the
+    # 2 (r0 // 2) + 2 = 70 terms its exact check then proves
     from tesserae import AutomatonError
 
     for name in ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]:
@@ -282,7 +288,6 @@ def test_faultfree_involution_random(num_tail, den_tail):
 
 def test_graph_period_step_matches_series_gcd():
     from tesserae import AutomatonError
-    from tesserae.gf import _levels_and_period
 
     for name in ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]:
         for width in range(1, 7):
@@ -297,3 +302,66 @@ def test_graph_period_step_matches_series_gcd():
                     _levels_and_period(auto)[1]
                 continue
             assert _levels_and_period(auto)[1] == k, (name, width)
+
+
+def r0_path(auto):
+    # strip_gf's certificate before short prefixes: Berlekamp-Massey on the
+    # 2 r0 + 2 resampled terms, certified by Cayley-Hamilton alone
+    level, k = _levels_and_period(auto)
+    r0 = sum(1 for v in level if v % k == 0)
+    a = resample(series(auto, k * (2 * r0 + 1)), k)
+    return recurrence_to_gf(infer_recurrence(a), a, step=k)
+
+
+def _digest(g):
+    return hashlib.sha256(repr((g.num, g.den, g.step)).encode()).hexdigest()
+
+
+# r0-path gfs that take seconds, as _digest of r0_path's result, recorded
+R0_PATH_DIGESTS = {
+    ("tetromino-L", 7): "69a10f65ec7ee508fc8834b2519adaf7801efd9615a44cadd05992afd1ae3236",
+}
+
+
+def test_strip_gf_matches_r0_path_every_preset_width():
+    # tetromino-L width 8 (order 200) is left out: either route takes two minutes
+    from tesserae import AutomatonError
+
+    for name in PRESETS:
+        for width in range(1, 9):
+            if (name, width) == ("tetromino-L", 8):
+                continue
+            try:
+                auto = build_automaton(preset(name), width)
+                g = strip_gf(auto)
+            except (AutomatonError, NoTilingsError):
+                continue
+            if (name, width) in R0_PATH_DIGESTS:
+                assert _digest(g) == R0_PATH_DIGESTS[name, width]
+            else:
+                assert g == r0_path(auto), (name, width)
+
+
+def test_annihilator_rejects_a_fit_of_the_prefix_only():
+    # start self-loop plus a 40-cycle through the start: a(t) = a(t-1) + a(t-40)
+    edges = (((0, 1), (1, 1)),) + tuple((((i + 1) % 40, 1),) for i in range(1, 40))
+    auto = TransferAutomaton(1, 0, tuple(range(40)), edges)
+    a = resample(series(auto, 9), 1)
+    assert a == [1] * 10
+    rec = infer_recurrence(a)
+    assert rec == LinearRecurrence(order=1, coeffs=(1,), valid_from=1)
+    assert not _annihilates(auto, 1, rec, len(a) - rec.valid_from - rec.order)
+    g = strip_gf(auto)
+    assert g.den == (1, -1) + (0,) * 38 + (-1,)
+    assert expand(g, 90) == list(series(auto, 90).terms)
+
+
+def test_annihilator_steps_past_the_order():
+    # tromino-right width 8: the start row's Krylov degree under B = A^3 is
+    # 37, one more than the order, so w = e0 q(B) is nonzero but w B is zero
+    auto = build_automaton(preset("tromino-right"), 8)
+    a = resample(series(auto, 3 * 79), 3)
+    rec = infer_recurrence(a)
+    assert (rec.order, rec.valid_from) == (36, 36)
+    assert not _annihilates(auto, 3, rec, 0)
+    assert _annihilates(auto, 3, rec, 1)

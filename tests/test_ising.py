@@ -130,6 +130,19 @@ class TestFylfotSum:
         extrapolated = 2 * per_site[4] - per_site[2]
         assert extrapolated > eight_cell_bound()
 
+    def test_strip_growth_converges_to_onsager(self):
+        # two routes that share nothing: like = 2, unlike = 1 is e^(beta (1 + s s'))
+        # at beta = ln 2 / 2, so the per-site growth of the exact spin sum is
+        # ln 2 + sigma_Ising, which the quadrature gives.  The strip increments
+        # ln(lambda_(p+1) / lambda_p), lambda_p = fylfot_sum(p, 41) / fylfot_sum(p, 40),
+        # close in on it geometrically
+        target = math.log(2.0) + onsager_entropy(BETA_TILING, 4096)
+        assert target == pytest.approx(1.5201741372782744, abs=1e-15)
+        growth = [math.log(fylfot_sum(p, 41) / fylfot_sum(p, 40)) for p in range(4, 10)]
+        errors = [b - a - target for a, b in zip(growth, growth[1:])]
+        assert all(abs(e) >= 2.5 * abs(f) for e, f in zip(errors, errors[1:]))
+        assert abs(errors[-1]) < 1e-6
+
 
 def _brute_force_sum(p, q, like, unlike):
     total = 0

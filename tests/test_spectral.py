@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_automaton import GROWTH, _grid
-from test_gf import _mul
+from test_gf import _mul, r0_path
 
 from tesserae import (
     AutomatonError,
@@ -261,13 +261,17 @@ def test_independent_routes_agree_on_random_tile_sets(shapes, symmetry, width):
             detect_step(prefix)
         return
     assert detect_step(prefix) == step
-    # strip_gf's exact Berlekamp-Massey and gcd on 2 r0 + 2 terms grow steeply
-    # with the order: domino plus I-pentomino at width 4 (r0 = 625, order 320)
-    # takes 210 s, so the gf routes run on start classes of up to 200 states
-    if sum(1 for v in level if v % step == 0) > 200:
+    # strip_gf's exact Berlekamp-Massey and gcd grow steeply with the order,
+    # which can come near r0: domino plus I-pentomino at width 4 (r0 = 625,
+    # order 320) takes minutes, so the gf routes run on start classes of up to
+    # 400 states, and the r0 path, which always reads 2 r0 + 2 terms, up to 200
+    r0 = sum(1 for v in level if v % step == 0)
+    if r0 > 400:
         return
     g = strip_gf(auto)
     assert g.step == step
+    if r0 <= 200:
+        assert g == r0_path(auto)
     assert expand(g, 30) == resample(series(auto, 30 * step), step)
     assert perron_root(auto) ** step == pytest.approx(dominant_root(g), rel=1e-9, abs=0)
 
