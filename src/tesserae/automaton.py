@@ -82,11 +82,9 @@ def _anchored_masks(variant: Polyomino, width: int) -> Iterator[tuple[int, int]]
 def _profile_label(packed: int, width: int, reach: int) -> str:
     if reach == 0:
         return "flush"
-    rows = (
-        "".join("#" if packed >> (j * width + i) & 1 else "." for j in range(reach))
-        for i in range(width)
-    )
-    return "/".join(rows)
+    # cell (row i, column j) is character j * width + i, least significant bit first
+    cells = format(packed, "b").zfill(width * reach)[::-1].replace("0", ".").replace("1", "#")
+    return "/".join(cells[i::width] for i in range(width))
 
 
 def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:

@@ -34,56 +34,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_tiles(p: _Parser) -> None:
-    p.add_argument("--tiles", required=True, help="preset name or tile file path")
-
-
-def _add_width(p: _Parser, help_text: str = "strip width (rows)") -> None:
-    p.add_argument("--width", type=int, required=True, help=help_text)
-
-
-def _add_length(p: _Parser, required: bool = True, default: int | None = None,
-                help_text: str = "rectangle length (columns)") -> None:
-    p.add_argument("--length", type=int, required=required, default=default, help=help_text)
-
-
-def build_parser() -> _Parser:
-    top = _Parser(
-        prog="tesserae",
-        description="Exact strip-tiling counts, generating functions, and entropy bounds.",
-    )
-    sub = top.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-
-    def command(name: str, help_text: str) -> _Parser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        return p
-
-    p = command("count", "tilings of one rectangle")
-    _add_tiles(p), _add_width(p), _add_length(p)
-    p = command("series", "tiling counts for every length 0..L")
-    _add_tiles(p), _add_width(p), _add_length(p)
-    p = command("oracle", "brute-force recount of one rectangle")
-    _add_tiles(p), _add_width(p), _add_length(p)
-    p = command("gf", "rational generating function of a strip")
-    _add_tiles(p), _add_width(p)
-    p = command("faultfree", "fault-free block generating function and counts")
-    _add_tiles(p), _add_width(p)
-    _add_length(p, required=False, default=10, help_text="number of expansion steps")
-    p = command("entropy", "entropy bounds for a strip width")
-    _add_tiles(p), _add_width(p)
-    p = command("upper", "scanning upper bound for plane tilings")
-    _add_tiles(p)
-    p = command("ising-bound", "Ising-model entropy bound for the T tetromino")
-    p.add_argument("--beta", default=None, help='inverse temperature: "ln2/2" or a decimal')
-    p.add_argument("--grid", type=int, default=1024, help="quadrature nodes per axis (power of two)")
-    p = command("fylfot", "exact fylfot-lattice weighted sum")
-    _add_width(p, help_text="fylfot lattice rows"), _add_length(p, help_text="fylfot lattice columns")
-    p = command("automaton-dot", "transfer automaton as a DOT digraph")
-    _add_tiles(p), _add_width(p)
-    return top
-
-
 def _tileset(spec: str) -> poly.TileSet:
     if spec in poly.PRESETS:
         return poly.preset(spec)
@@ -228,18 +178,65 @@ def _cmd_dot(args) -> dict:
             "states": len(auto.states), "dot": am.to_dot(auto)}
 
 
+def _add_tiles(p: _Parser) -> None:
+    p.add_argument("--tiles", required=True, help="preset name or tile file path")
+
+
+def _add_strip(p: _Parser) -> None:
+    _add_tiles(p)
+    p.add_argument("--width", type=int, required=True, help="strip width (rows)")
+
+
+def _add_rect(p: _Parser) -> None:
+    _add_strip(p)
+    p.add_argument("--length", type=int, required=True, help="rectangle length (columns)")
+
+
+def _add_faultfree(p: _Parser) -> None:
+    _add_strip(p)
+    p.add_argument("--length", type=int, default=10, help="number of expansion steps")
+
+
+def _add_ising(p: _Parser) -> None:
+    p.add_argument("--beta", default=None, help='inverse temperature: "ln2/2" or a decimal')
+    p.add_argument("--grid", type=int, default=1024, help="quadrature nodes per axis (power of two)")
+
+
+def _add_fylfot(p: _Parser) -> None:
+    p.add_argument("--width", type=int, required=True, help="fylfot lattice rows")
+    p.add_argument("--length", type=int, required=True, help="fylfot lattice columns")
+
+
+# name -> (handler, help line, argument adder), in --help order
 _COMMANDS = {
-    "count": _cmd_count,
-    "series": _cmd_series,
-    "oracle": _cmd_oracle,
-    "gf": _cmd_gf,
-    "faultfree": _cmd_faultfree,
-    "entropy": _cmd_entropy,
-    "upper": _cmd_upper,
-    "ising-bound": _cmd_ising,
-    "fylfot": _cmd_fylfot,
-    "automaton-dot": _cmd_dot,
+    "count": (_cmd_count, "tilings of one rectangle", _add_rect),
+    "series": (_cmd_series, "tiling counts for every length 0..L", _add_rect),
+    "oracle": (_cmd_oracle, "brute-force recount of one rectangle", _add_rect),
+    "gf": (_cmd_gf, "rational generating function of a strip", _add_strip),
+    "faultfree": (_cmd_faultfree, "fault-free block generating function and counts",
+                  _add_faultfree),
+    "entropy": (_cmd_entropy, "entropy bounds for a strip width", _add_strip),
+    "upper": (_cmd_upper, "scanning upper bound for plane tilings", _add_tiles),
+    "ising-bound": (_cmd_ising, "Ising-model entropy bound for the T tetromino", _add_ising),
+    "fylfot": (_cmd_fylfot, "exact fylfot-lattice weighted sum", _add_fylfot),
+    "automaton-dot": (_cmd_dot, "transfer automaton as a DOT digraph", _add_strip),
 }
+
+
+def build_parser(argv=None) -> _Parser:
+    """Parser for argv with only the subcommand that argv[0] names, or with all
+    of them when it names none, so help and usage errors read the same."""
+    top = _Parser(
+        prog="tesserae",
+        description="Exact strip-tiling counts, generating functions, and entropy bounds.",
+    )
+    sub = top.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        _, help_text, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="emit canonical JSON")
+        add_arguments(p)
+    return top
 
 
 def render_json(report: dict) -> str:
@@ -260,11 +257,12 @@ def render_text(report: dict) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if not args.command:
             raise UsageError("a command is required (try --help)")
-        report = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -267,6 +267,13 @@ def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
     return level, k
 
 
+def _times_b(auto: TransferAutomaton, k: int, v: list[int]) -> list[int]:
+    # v B, B = A^k: one resampled step of the row vector v
+    for _ in range(k):
+        v = _apply(auto.edges, v)
+    return v
+
+
 def _annihilates(auto: TransferAutomaton, k: int, rec: LinearRecurrence, steps: int) -> bool:
     # exact check over ℤ that rec holds for every t >= valid_from.  With
     # B = A^k, x = e0 B^s (s = valid_from - order, e0 the start row) and
@@ -274,21 +281,16 @@ def _annihilates(auto: TransferAutomaton, k: int, rec: LinearRecurrence, steps: 
     # - cd a[t-d] at t = valid_from + j is entry 0 of w B^j, w = x q(B), by
     # Horner in d B-steps.  w B^j = 0 for some j <= steps clears every later
     # residual; the prefix that Berlekamp-Massey read holds the earlier ones.
-    def times_b(v: list[int]) -> list[int]:
-        for _ in range(k):
-            v = _apply(auto.edges, v)
-        return v
-
     x = [1] + [0] * (len(auto.states) - 1)
     for _ in range(rec.valid_from - rec.order):
-        x = times_b(x)
+        x = _times_b(auto, k, x)
     w = x
     for c in rec.coeffs:
-        w = [u - c * v for u, v in zip(times_b(w), x)]
+        w = [u - c * v for u, v in zip(_times_b(auto, k, w), x)]
     for _ in range(steps):
         if not any(w):
             return True
-        w = times_b(w)
+        w = _times_b(auto, k, w)
     return not any(w)
 
 
@@ -305,18 +307,20 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
     no short prefix proved, Berlekamp-Massey on 2 r0 + 2 terms needs no check
     (2 r0 terms fix the recurrence, two more meet the margin of
     infer_recurrence).  The result is the same either way, and Fatou's lemma
-    makes the reduced num/den integral.  For an order near r0 the failed
-    prefixes add about a third of the r0 path's series and a seventh of its
-    Berlekamp-Massey work; an order just past a failed d costs most, as that
-    attempt's Berlekamp-Massey work nearly equals the final one's.
+    makes the reduced num/den integral.  The attempts extend one sweep, but
+    Berlekamp-Massey cannot resume: an order just past a failed d costs
+    most, as that attempt's Berlekamp-Massey work nearly equals the final one's.
     """
     level, k = _levels_and_period(auto)
     r0 = sum(1 for v in level if v % k == 0)
     tries = [8 << i for i in range(r0.bit_length()) if 32 << i <= r0]
     if r0 >= 16:
         tries.append(r0 // 2)
+    x, a = [1] + [0] * (len(auto.states) - 1), [1]  # a[t] = N(k t) = (e0 B^t)[0]
     for d in tries:
-        a = resample(series(auto, k * (2 * d + 1)), k)
+        while len(a) < 2 * d + 2:
+            x = _times_b(auto, k, x)
+            a.append(x[0])
         try:
             rec = infer_recurrence(a)
         except RecurrenceError:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tesserae
-from tesserae.cli import main, render_json
+from tesserae.cli import UsageError, build_parser, main, render_json
 
 
 def run(capsys, *argv):
@@ -199,6 +199,76 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
         assert time.perf_counter() - start < 2.0
+
+
+COMMANDS = ("count", "series", "oracle", "gf", "faultfree", "entropy", "upper",
+            "ising-bound", "fylfot", "automaton-dot")
+CHOICES = ", ".join(repr(c) for c in COMMANDS)
+
+# SHA-256 of each --help text at 80 columns, recorded when every call built
+# all ten subcommands
+HELP_DIGESTS = {
+    (): "9c2ee05e7ee6a3e68bd367e678dd522428a214162d0705efee0b628d31481410",
+    ("count",): "c66995252f76b22586cd74eea39836a9a99049daa223954a419de763f815dd74",
+    ("series",): "d8e411155ea2664df3006b34f529bb1d91753f4ef82646ee72b613da71fc265f",
+    ("oracle",): "7f7638f9e36c0a5077d7e1755db4fbe3fab17249fcc3041b2d0d1a17bf035a7e",
+    ("gf",): "fd9fa5ee6759d22cc95100b0077c15dff317a286c22cc00e2c85f970d4b338fc",
+    ("faultfree",): "9575f70364620adc2224b97d39326baa7fa12a3b2c485001f7fc355decb52ae9",
+    ("entropy",): "919a76ce85be100343aa0e04b92162fbf180d0f610a8f52449a6039fb6ea935a",
+    ("upper",): "2fb5b52c27804af5d09b0247f3ddea030f485c3660884d270994a9482b5c3f68",
+    ("ising-bound",): "56088189d656ca5c6601a85b5553e0cbf7382b8ac67ddc7495d399ab189b6c77",
+    ("fylfot",): "eeb5f766985766644033c348727b2b9eb58fae490e8560337fbfade78a759a9c",
+    ("automaton-dot",): "eedac1074a3f12c2c2793b8358947b4977a6adbe4e46d3797d7a315d54cc7129",
+}
+# one accepted argv per command
+COMMAND_ARGVS = [
+    ("count", "--tiles", "domino", "--width", "2", "--length", "3", "--json"),
+    ("series", "--tiles", "domino", "--width", "2", "--length", "3"),
+    ("oracle", "--tiles", "domino", "--width", "2", "--length", "3"),
+    ("gf", "--tiles", "domino", "--width", "2", "--json"),
+    ("faultfree", "--tiles", "domino", "--width", "2"),
+    ("entropy", "--tiles", "domino", "--width", "2"),
+    ("upper", "--tiles", "domino"),
+    ("ising-bound", "--beta", "0.2", "--grid", "64"),
+    ("fylfot", "--width", "2", "--length", "2"),
+    ("automaton-dot", "--tiles", "domino", "--width", "2", "--json"),
+]
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", HELP_DIGESTS)
+    def test_help_text_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--help"])
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("bogus", f"argument COMMAND: invalid choice: 'bogus' (choose from {CHOICES})"),
+            ("gf --tiles domino", "the following arguments are required: --width"),
+            ("gf --tiles domino --width x", "argument --width: invalid int value: 'x'"),
+            ("gf gf --tiles domino --width 2", "unrecognized arguments: gf"),
+        ],
+    )
+    def test_usage_errors_pinned(self, capsys, argv, message):
+        assert run(capsys, *argv.split()) == (1, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=[a[0] for a in COMMAND_ARGVS])
+    def test_one_command_parser_parses_like_the_full_one(self, argv):
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_full_parser_offers_every_command(self):
+        assert [a[0] for a in COMMAND_ARGVS] == list(COMMANDS)
+        with pytest.raises(UsageError) as full:
+            build_parser().parse_args(["bogus"])
+        assert str(full.value).endswith(f"(choose from {CHOICES})")
+        with pytest.raises(UsageError) as one:
+            build_parser(["gf"]).parse_args(["count"])
+        assert str(one.value).endswith("(choose from 'gf')")
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -24,6 +24,8 @@ from tesserae import (
     series,
     strip_gf,
 )
+from tesserae import automaton, gf
+from tesserae.automaton import _apply
 from tesserae.gf import _annihilates, _levels_and_period
 from tesserae.poly import PRESETS
 
@@ -365,3 +367,29 @@ def test_annihilator_steps_past_the_order():
     assert (rec.order, rec.valid_from) == (36, 36)
     assert not _annihilates(auto, 3, rec, 0)
     assert _annihilates(auto, 3, rec, 1)
+
+
+# column steps (calls of _apply) of strip_gf, and the counts from when each
+# prefix attempt still swept again from column 0
+APPLY_CALLS = [
+    ("domino", 10, 97, 147),
+    ("domino", 9, 98, 132),
+    ("tromino-right", 7, 183, 234),
+]
+
+
+@pytest.mark.parametrize("name, width, calls, restarted", APPLY_CALLS)
+def test_prefix_attempts_extend_one_sweep(monkeypatch, name, width, calls, restarted):
+    auto = build_automaton(preset(name), width)
+    count = [0]
+
+    def counting(edges, vec):
+        count[0] += 1
+        return _apply(edges, vec)
+
+    # series reaches _apply through automaton, the sweep and the check through gf
+    monkeypatch.setattr(automaton, "_apply", counting)
+    monkeypatch.setattr(gf, "_apply", counting)
+    g = strip_gf(auto)
+    assert count[0] == calls < restarted
+    assert expand(g, 60) == resample(series(auto, 60 * g.step), g.step)
