@@ -31,6 +31,10 @@ class StateBudgetError(ValueError):
 # Checked as each profile is found.  tetromino-L width 9 (23728 states) builds in
 # 0.4 s on one Xeon core (CPython 3.11); domino width 18 would be 48620, 3.3 s, 200 MB.
 MAX_STATES = 25_000
+# build_automaton's fill recurses once per placement in a column, brute_force_count
+# once per tile placed: wider strips, or rectangles of more cells, are refused
+# well inside CPython's default recursion limit of 1000.
+MAX_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,14 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     reach + 1 columns is one integer, column j at bits j*width.., and each
     placement is one mask over it, tested and set in single AND/OR steps.
     Profiles are discovered lazily from the all-empty start profile, never
-    enumerated wholesale; finding more than MAX_STATES raises StateBudgetError.
+    enumerated wholesale; finding more than MAX_STATES raises StateBudgetError,
+    as does a width past MAX_WIDTH, before any placement is built.
     Variants taller than the strip are dropped; the result is trimmed.
     """
     if width < 1:
         raise AutomatonError("strip width must be at least 1")
+    if width > MAX_WIDTH:
+        raise StateBudgetError(f"width {width} exceeds the {MAX_WIDTH}-row strip budget")
     variants = [v for v in tiles.variants if v.height <= width]
     if not variants:
         raise AutomatonError(f"no tile variant fits in a strip of width {width}")
@@ -205,14 +212,13 @@ def brute_force_count(tiles: TileSet, width: int, length: int, max_cells: int = 
     grid is scanned row-major along its short side (a rectangle longer than
     wide is transposed together with the variants, which keeps dead ends
     few), and each step covers the first empty cell with every variant whose
-    scan-first cell lands on it.
+    scan-first cell lands on it.  OracleLimitError past max_cells or MAX_WIDTH cells.
     """
     if width < 1 or length < 0:
         raise ValueError("need width >= 1 and length >= 0")
-    if width * length > max_cells:
-        raise OracleLimitError(
-            f"{width}x{length} rectangle exceeds the {max_cells}-cell oracle budget"
-        )
+    cap = min(max_cells, MAX_WIDTH)
+    if width * length > cap:
+        raise OracleLimitError(f"{width}x{length} rectangle exceeds the {cap}-cell oracle budget")
     if width * length % (gcd(*(v.area for v in tiles.variants)) or 1):  # gcd() = 0: no tiles
         return 0
     variants = [v.cells for v in tiles.variants]

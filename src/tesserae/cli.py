@@ -272,8 +272,7 @@ def main(argv=None) -> int:
     except gfmod.NoTilingsError as exc:
         print(f"no tilings: {exc}", file=sys.stderr)
         return EXIT_NO_TILINGS
-    except (am.OracleLimitError, gfmod.RecurrenceError, spectral.SpectralError,
-            ising.IsingError, ValueError) as exc:
+    except ValueError as exc:  # budgets, oracle cap, recurrence, spectral and Ising errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(render_json(report) if args.json else render_text(report))

@@ -10,8 +10,8 @@ from .gf import RationalGF
 from .poly import TileSet
 
 
-# power iteration stops once the Rayleigh quotient moves by less than
-# PERRON_TOL (relative) on three steps running, or fails after PERRON_MAX_ITER
+# perron_root stops once its Collatz-Wielandt bracket [lo, hi] is within
+# PERRON_TOL of hi (relative), or fails after PERRON_MAX_ITER steps
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 200_000
 
@@ -111,12 +111,14 @@ def residual(g: RationalGF, root: float) -> float:
 
 
 def perron_root(a: TransferAutomaton) -> float:
-    """Per-column growth rate of the transfer matrix, by power iteration.
+    """Per-column growth rate of the transfer matrix A, inside a shrinking bracket.
 
-    Iterates on matrix + identity so that periodic automata (tiles that
-    only complete every k-th column) still converge; the unit shift is
-    subtracted from the converged Rayleigh quotient.  Each step touches the
-    nonzero transitions only, as index arrays.
+    For the strongly connected A that build_automaton returns and any positive
+    v, min (Av)_i / v_i <= lambda <= max (Av)_i / v_i (Collatz-Wielandt).  The
+    midpoint is returned once that bracket [lo, hi] is within PERRON_TOL of hi;
+    until then v steps to (Av + v) / (hi + 1), a power step on A + I, which
+    also converges on periodic automata (tiles that only complete every k-th
+    column).  Each step touches the nonzero transitions only, as index arrays.
     """
     import numpy as np  # here, not at module level, so the CLI starts without it
 
@@ -124,23 +126,14 @@ def perron_root(a: TransferAutomaton) -> float:
     src = np.array([i for i, out in enumerate(a.edges) for _ in out], dtype=np.intp)
     dst = np.array([j for out in a.edges for j, _ in out], dtype=np.intp)
     ways = np.array([w for out in a.edges for _, w in out], dtype=float)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    prev = math.inf
-    settled = 0
-    for it in range(PERRON_MAX_ITER):
-        w = np.bincount(src, weights=ways * v[dst], minlength=n) + v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            raise SpectralError("transfer matrix annihilated the iterate")
-        quotient = float(v @ w) / float(v @ v)
-        v = w / norm
-        if abs(quotient - prev) < PERRON_TOL * max(1.0, abs(quotient)):
-            settled += 1
-            if settled >= 3 and it >= 20:
-                return quotient - 1.0
-        else:
-            settled = 0
-        prev = quotient
+    v = np.ones(n)
+    for _ in range(PERRON_MAX_ITER):
+        w = np.bincount(src, weights=ways * v[dst], minlength=n)
+        ratios = w / v
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= PERRON_TOL * hi:
+            return (lo + hi) / 2
+        v = (w + v) / (hi + 1.0)
     raise SpectralError("power iteration did not settle; fall back to dominant_root")
 
 

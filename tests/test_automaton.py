@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from tesserae import (
     to_dot,
     trim_reachable,
 )
-from tesserae.automaton import MAX_STATES
+from tesserae.automaton import MAX_STATES, MAX_WIDTH
 from tesserae.poly import PRESETS
 
 PRESET_NAMES = ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]
@@ -197,6 +198,13 @@ class TestOracle:
         # raising the cap admits the request; 5x9 right trominoes stay cheap
         assert brute_force_count(preset("tromino-right"), 5, 9, max_cells=45) == 384
 
+    def test_cells_past_recursion_bound(self):
+        # one recursion per tile placed: a 1x3000 monomino strip would exhaust
+        # the stack, so it is refused whatever max_cells admits
+        with pytest.raises(OracleLimitError, match=str(MAX_WIDTH)):
+            brute_force_count(preset("monomino"), 1, 3000, max_cells=3000)
+        assert brute_force_count(preset("monomino"), 1, MAX_WIDTH, max_cells=3000) == 1
+
     def test_long_narrow_strip_scans_short_side(self):
         tiles = parse_tile_file("##\n.#\n\n..#\n###")
         assert brute_force_count(tiles, 2, 18) == brute_force_count(tiles, 18, 2) == 384
@@ -353,6 +361,17 @@ def test_state_budget():
     # the widest preset strip README names as fitting: the build finds 23728
     # profiles, 12369 of them on a start-to-start path
     assert len(build_automaton(preset("tetromino-L"), 9).states) == 12369
+
+
+def test_width_budget():
+    # the fill recurses once per placement in a column, and the placement masks
+    # grow with width^2: past MAX_WIDTH rows no mask is built
+    start = time.perf_counter()
+    for width in (MAX_WIDTH + 1, 10**6):
+        with pytest.raises(StateBudgetError, match=str(MAX_WIDTH)):
+            build_automaton(preset("monomino"), width)
+    assert time.perf_counter() - start < 0.1
+    assert len(build_automaton(preset("monomino"), MAX_WIDTH).states) == 1
 
 
 STEPS = [(0, 1), (1, 0), (0, -1), (-1, 0)]

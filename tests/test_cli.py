@@ -185,6 +185,36 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("count", "--tiles", "monomino", "--width", "1200", "--length", "1"),
+            ("series", "--tiles", "monomino", "--width", "1200", "--length", "1"),
+            ("oracle", "--tiles", "monomino", "--width", "1200", "--length", "1"),
+            ("gf", "--tiles", "monomino", "--width", "1200"),
+            ("faultfree", "--tiles", "monomino", "--width", "1200"),
+            ("entropy", "--tiles", "domino", "--width", "1200"),
+            ("automaton-dot", "--tiles", "monomino", "--width", "1200"),
+        ],
+    )
+    def test_width_past_budget(self, capsys, monkeypatch, argv):
+        # a recursion per row would overflow the stack: refused before the build,
+        # and the oracle's cell cap cannot lift it
+        monkeypatch.setenv("TESSERAE_MAX_CELLS", "100000")
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_width_past_budget_no_traceback(self):
+        src = str(Path(tesserae.__file__).resolve().parents[1])
+        argv = ["count", "--tiles", "monomino", "--width", "1200", "--length", "1"]
+        proc = subprocess.run([sys.executable, "-m", "tesserae.cli", *argv], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("count", "--tiles", "domino", "--width", "2", "--length", "1000000000"),
             ("count", "--tiles", "domino", "--width", "16", "--length", "40"),
             ("series", "--tiles", "domino", "--width", "12", "--length", "579"),

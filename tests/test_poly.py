@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +182,13 @@ class TestTileFile:
     def test_empty_file(self):
         with pytest.raises(TileError):
             parse_tile_file("\n\n")
+
+    def test_readme_example_parses(self):
+        # the code block under README's "Tile files" heading, as a reader copies it
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        tiles = parse_tile_file(readme.split("## Tile files", 1)[1].split("```\n")[1])
+        assert len(tiles.base) == 2
+        assert len(tiles.variants) == 12  # right tromino 4, L tetromino 8
 
 
 # mostly tile-file characters, with any other character and a few header forms

@@ -32,6 +32,7 @@ from tesserae import (
 )
 from tesserae.gf import _levels_and_period
 from tesserae.poly import PRESETS
+from tesserae.spectral import PERRON_TOL
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -120,7 +121,7 @@ class TestPerron:
                         assert lam == 0.0 and elapsed < 0.1, (name, width)
                         continue
                     root, step = dominant_root(g), g.step
-                assert lam == pytest.approx(root ** (1 / step), rel=1e-9, abs=0), (name, width)
+                assert lam == pytest.approx(root ** (1 / step), rel=PERRON_TOL, abs=0), (name, width)
 
     def test_extra_transition_never_decreases(self):
         auto = build_automaton(preset("domino"), 2)
