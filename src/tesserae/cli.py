@@ -153,9 +153,9 @@ def _cmd_ising(args) -> dict:
     if beta == ising.BETA_TILING:
         bound = ising.t_tetromino_bound(args.grid)
         sigma, lower, err = bound.sigma_ising, _round12(bound.sigma_lower), bound.err_estimate
-    else:  # the half grid is below the smallest one at 64, so no estimate there
-        sigma, lower = ising.onsager_entropy(beta, args.grid), None
-        err = abs(sigma - ising.onsager_entropy(beta, args.grid // 2)) if args.grid >= 128 else None
+    else:  # no estimate at grid 64, whose half grid is below the smallest one
+        sigma, err = ising.onsager_estimate(beta, args.grid)
+        lower, err = None, err if args.grid >= 128 else None
     return {"command": "ising-bound", "beta": _round12(beta), "grid": args.grid,
             "sigma_ising": _round12(sigma), "sigma_lower": lower,
             "err_estimate": None if err is None else _round12(err)}

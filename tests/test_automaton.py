@@ -212,6 +212,18 @@ class TestOracle:
     def test_area_not_a_multiple_of_tile_areas(self):
         assert brute_force_count(parse_tile_file("#\n#\n\n#.\n#.\n##"), 5, 7) == 0
 
+    def test_area_no_sum_of_tile_areas(self):
+        # gcd(3, 5) = 1 divides 7, but 7 is no sum of 3s and 5s: the oracle
+        # answers from the areas alone, and the automaton agrees
+        tiles = parse_tile_file("###\n\n###\n#.#")
+        assert {v.area for v in tiles.variants} == {3, 5}
+        for width, length in [(1, 7), (7, 1)]:
+            assert brute_force_count(tiles, width, length) == 0
+            assert count_rect(build_automaton(tiles, width), length) == 0
+        for width, length in [(2, 3), (1, 9), (3, 5)]:
+            count = count_rect(build_automaton(tiles, width), length)
+            assert brute_force_count(tiles, width, length) == count > 0
+
     def test_agrees_with_automaton_spot_checks(self):
         for name, width, length in [
             ("domino", 3, 6),

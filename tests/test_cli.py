@@ -166,7 +166,7 @@ class TestExitCodes:
         assert run(capsys, "ising-bound", "--beta", "0.9")[0] == 1
 
     def test_grid_past_budget(self, capsys):
-        # a 65536^2 float64 node mesh would be about 34 GB; refused before numpy runs
+        # 65536 is past MAX_GRID; refused before numpy runs
         assert run(capsys, "ising-bound", "--grid", "65536")[0] == 1
 
     def test_fylfot_past_budget(self, capsys):
@@ -356,6 +356,62 @@ def test_larger_gf_reports_pinned(capsys, command, tiles, width, digest):
     code, out, err = run(capsys, command, "--tiles", tiles, "--width", str(width), "--json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the ising-bound --json reports, recorded while the quadrature
+# still built the full grid x grid node mesh; beta None is the tiling default.
+ISING_DIGESTS = {
+    (64, None): "51af87d2a7995431c4f3efd95c1b060c0e3fcdd6ab375d84469a2773a55fa4b9",
+    (64, "0.3"): "eddf9d0400f4c8daa3d335067b454321a9538c610f60a81629b3497a5df20683",
+    (64, "0.44"): "020c5375b0309d103efd7134d68bc9bac24b503f485c185a6b860e9cc558f6b3",
+    (64, "0"): "55995af309fb6c4f99fe2f7dfa3a9f162f93c1977a2c87b6c76f9cf0c6bf7ec3",
+    (128, None): "7553ee65a2014737df6e36500e723ed86916e3f4200c0ea6196d2290f3505c2e",
+    (128, "0.3"): "6aa92ca2d64caa2a18568fd8428fc2181e6a1b5c68848c6bd0cf99275acfffc7",
+    (128, "0.44"): "1bf606cd8e6bc7b9b3d40483cd36135efcd00de047d7a79701855f3114ccac28",
+    (128, "0"): "173f952c8724cf0a4f029aabdb1a1e968f5a13f265f3b2f302691c5eab3b067a",
+    (2048, None): "b6e88ce379aa237da15c6e8ca07ea5619433d23b25d3abeb3d02ba67d30b3743",
+    (2048, "0.3"): "3231825c244cba1a1a91024ea169ea5347386fee993ed273e89aa1aa08a4dd0a",
+    (2048, "0.44"): "aa9f1bc23e847b017bcfab0649180b561adb7b69552eba91b0150cd1a28f558e",
+    (2048, "0"): "cc1167425e0bdc014c4d83ab46b889e1a75c1642f9bc8609660de19dab043b50",
+    (4096, None): "0e84eefe1a8fc429373a819e4611d246857d6790f304a7673fbaebe3f6533c51",
+    (4096, "0.3"): "ea8f25b51d53514393002013b1b5d813f942216dcfceb640d087a9b9c1ae6562",
+    (4096, "0.44"): "c3ffc24d8ff8e6f54ac3f4402113a754056ad957fcf109fcb1b4fa160bc1c709",
+    (4096, "0"): "f644d6846e01ca7b269abed852ae8ef2b330fccc743e99c7514ac708a7f15f53",
+    (8192, None): "9dc33ccfb4d46016413bdb8a357b6a5f088273579f68fdb9611e5a20f33fb9c2",
+    (8192, "0.3"): "cc3893688e891ad21a146d3df4b39a2ab914159c93937ee8632aa2f0e3a9f0e8",
+    (8192, "0.44"): "a477255e965a83e8f264555c5c4941a346c9b0e438aa48a014c1fec1bbd0aa1c",
+    (8192, "0"): "4c35222e54d27b8d68081239314a97fc4de45ebf122d49076e21968ebdf92d4b",
+}
+
+
+@pytest.mark.parametrize("grid, beta", ISING_DIGESTS, ids=[f"{g}-{b}" for g, b in ISING_DIGESTS])
+def test_ising_reports_pinned(capsys, grid, beta):
+    extra = () if beta is None else ("--beta", beta)
+    code, out, err = run(capsys, "ising-bound", "--grid", str(grid), *extra, "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == ISING_DIGESTS[grid, beta]
+
+
+BETA_RANGE = "error: beta must lie in [0, ln(1 + sqrt 2)/2): integrand stays positive\n"
+GRID_RANGE = "error: grid must be a power of two from 64 to 8192\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--beta 0.9", BETA_RANGE),
+        ("--beta 0.4406867935097715", BETA_RANGE),  # BETA_CRITICAL itself
+        ("--beta -0.1", BETA_RANGE),
+        ("--beta 0.9 --grid 100", BETA_RANGE),  # beta is checked first
+        ("--grid 65536", GRID_RANGE),
+        ("--grid 100", GRID_RANGE),
+        ("--grid 32", GRID_RANGE),
+        ("--beta ln2/2 --grid 100", GRID_RANGE),
+        ("--beta 0.2 --grid 16384", GRID_RANGE),
+    ],
+)
+def test_ising_refusals_pinned(capsys, argv, message):
+    assert run(capsys, "ising-bound", *argv.split()) == (1, "", message)
 
 
 class TestJsonRoundTrip:

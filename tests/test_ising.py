@@ -1,6 +1,11 @@
+import functools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tesserae import (
     BETA_CRITICAL,
@@ -9,9 +14,11 @@ from tesserae import (
     eight_cell_bound,
     fylfot_sum,
     onsager_entropy,
+    onsager_estimate,
     spin_weight_sum,
     t_tetromino_bound,
 )
+from tesserae.ising import MAX_GRID
 
 
 class TestOnsager:
@@ -40,6 +47,53 @@ class TestOnsager:
     def test_bad_grid_refused(self, grid):
         with pytest.raises(IsingError):
             onsager_entropy(0.1, grid)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_entropy(beta, grid):
+    """The quadrature as it was before blocking: the whole grid x grid mesh of
+    ln[cosh^2 2b - sinh 2b (c_i + c_j)], one mean.  The same elementwise ops
+    run in place, so grid 8192 holds one 512 MB array, not four."""
+    c = np.cos(2.0 * math.pi * np.arange(grid) / grid)
+    b = 2.0 * beta
+    values = c[:, None] + c[None, :]
+    values *= math.sinh(b)
+    np.subtract(math.cosh(b) ** 2, values, out=values)
+    np.log(values, out=values)
+    return math.log(2.0) + 0.5 * float(np.mean(values))
+
+
+def _assert_matches_dense(beta, grid):
+    sigma, coarse = _dense_entropy(beta, grid), _dense_entropy(beta, grid // 2)
+    assert onsager_estimate(beta, grid) == (sigma, abs(sigma - coarse))
+    assert onsager_entropy(beta, grid) == sigma
+
+
+class TestBlockedQuadrature:
+    # equality, not approx: the blocked sums rely on numpy's add.reduce being
+    # one pairwise tree that splits power-of-two lengths at exact halves
+    @pytest.mark.parametrize("grid", [1 << k for k in range(6, 14)])
+    @pytest.mark.parametrize("beta", [0.0, BETA_TILING, 0.3, 0.999 * BETA_CRITICAL])
+    def test_bit_identical_to_dense_mesh(self, beta, grid):
+        _assert_matches_dense(beta, grid)
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta=st.floats(0.0, BETA_CRITICAL, exclude_max=True),
+           grid=st.sampled_from([64, 128, 256, 512, 1024]))
+    def test_bit_identical_to_dense_mesh_random_beta(self, beta, grid):
+        _assert_matches_dense(beta, grid)
+
+    def test_memory_is_linear_in_grid(self):
+        # numpy reports its buffers to tracemalloc; the full mesh at MAX_GRID
+        # would be 512 MiB per temporary
+        t_tetromino_bound(64)  # import numpy outside the trace
+        tracemalloc.start()
+        try:
+            t_tetromino_bound(MAX_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestTetrominoBound:
