@@ -10,6 +10,7 @@ powers of a nonnegative integer matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator
 
 from .poly import Polyomino, TileSet
@@ -207,7 +208,7 @@ def brute_force_count(tiles: TileSet, width: int, length: int, max_cells: int = 
     """Count tilings by exhaustive backtracking over the whole rectangle.
 
     Independent oracle: shares nothing with build_automaton.  It returns 0 at
-    once when the area is no sum of tile areas (repeats allowed).  The
+    once when the area is not a multiple of the gcd of the tile areas.  The
     grid is scanned row-major along its short side (a rectangle longer than
     wide is transposed together with the variants, which keeps dead ends
     few), and each step covers the first empty cell with every variant whose
@@ -218,11 +219,7 @@ def brute_force_count(tiles: TileSet, width: int, length: int, max_cells: int = 
     cap = min(max_cells, MAX_WIDTH)
     if width * length > cap:
         raise OracleLimitError(f"{width}x{length} rectangle exceeds the {cap}-cell oracle budget")
-    areas, sums = {v.area for v in tiles.variants}, {0}  # cell counts tile areas add up to
-    for n in range(1, width * length + 1):
-        if any(n - a in sums for a in areas):
-            sums.add(n)
-    if width * length not in sums:
+    if width * length % (gcd(*(v.area for v in tiles.variants)) or 1):  # gcd() = 0: no tiles
         return 0
     variants = [v.cells for v in tiles.variants]
     if length > width:

@@ -35,40 +35,35 @@ class IsingBound:
     err_estimate: float
 
 
-def _check_grid(grid: int) -> None:
-    if grid < 64 or grid & (grid - 1) or grid > MAX_GRID:
-        raise IsingError(f"grid must be a power of two from 64 to {MAX_GRID}")
-
-
 def onsager_estimate(beta: float, grid: int = 1024) -> tuple[float, float]:
-    """onsager_entropy at `grid` and its error estimate, the distance to the
-    value at `grid // 2` (the even nodes), in one pass over row blocks of about
-    _BLOCK_NODES nodes.  numpy's add.reduce sums a contiguous array as a pairwise
-    tree that splits power-of-two lengths at exact halves, so block sums
-    combined as that tree equal the whole-mesh sums to the bit."""
+    """onsager_entropy at `grid` and its error estimate |value - value at grid // 2|,
+    in one pass over row blocks of _BLOCK_NODES nodes.  numpy's add.reduce sums a
+    contiguous array as a pairwise tree splitting power-of-two lengths at exact
+    halves, so block sums paired as that tree give the whole-mesh sums to the bit."""
     if not 0.0 <= beta < BETA_CRITICAL:
         raise IsingError("beta must lie in [0, ln(1 + sqrt 2)/2): integrand stays positive")
-    _check_grid(grid)
+    if grid < 64 or grid & (grid - 1) or grid > MAX_GRID:
+        raise IsingError(f"grid must be a power of two from 64 to {MAX_GRID}")
     import numpy as np  # here, not at module level, so the CLI starts without it
 
     # periodic trapezoid rule on [0, 2pi)^2 is a plain mean over the nodes
     c = np.cos(2.0 * math.pi * np.arange(grid) / grid)
     cosh2, sinh = math.cosh(2.0 * beta) ** 2, math.sinh(2.0 * beta)
-    rows = max(2, min(grid, _BLOCK_NODES // grid))
-    buf, sums = np.empty((rows, grid)), ([], [])
+    rows = min(grid, _BLOCK_NODES // grid)
+    buf, sums = np.empty((rows, grid)), []
     for i in range(0, grid, rows):
         np.add(c[i:i + rows, None], c[None, :], out=buf)
         np.multiply(sinh, buf, out=buf)
         np.subtract(cosh2, buf, out=buf)
         np.log(buf, out=buf)
-        sums[0].append(np.add.reduce(buf, axis=None))
-        sums[1].append(np.add.reduce(np.ascontiguousarray(buf[::2, ::2]), axis=None))
-    sigma = []
-    for level, nodes in zip(sums, (grid * grid, grid * grid // 4)):
-        while len(level) > 1:  # a power of two of block sums, paired as numpy pairs halves
-            level = [a + b for a, b in zip(level[::2], level[1::2])]
-        sigma.append(math.log(2.0) + 0.5 * float(level[0] / nodes))
-    return sigma[0], abs(sigma[0] - sigma[1])
+        sums.append((np.add.reduce(buf, axis=None),
+                     np.add.reduce(np.ascontiguousarray(buf[::2, ::2]), axis=None)))
+    sums = np.array(sums)
+    while len(sums) > 1:  # a power of two of block sums, paired as numpy pairs halves
+        sums = sums[::2] + sums[1::2]
+    fine, coarse = (math.log(2.0) + 0.5 * float(s / n)
+                    for s, n in zip(sums[0], (grid * grid, grid * grid // 4)))
+    return fine, abs(fine - coarse)
 
 
 def onsager_entropy(beta: float, grid: int = 1024) -> float:

@@ -213,8 +213,8 @@ class TestOracle:
         assert brute_force_count(parse_tile_file("#\n#\n\n#.\n#.\n##"), 5, 7) == 0
 
     def test_area_no_sum_of_tile_areas(self):
-        # gcd(3, 5) = 1 divides 7, but 7 is no sum of 3s and 5s: the oracle
-        # answers from the areas alone, and the automaton agrees
+        # gcd(3, 5) = 1 divides 7, but 7 is no sum of 3s and 5s: the search
+        # finds no tiling, and the automaton agrees
         tiles = parse_tile_file("###\n\n###\n#.#")
         assert {v.area for v in tiles.variants} == {3, 5}
         for width, length in [(1, 7), (7, 1)]:
