@@ -146,12 +146,15 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     return trim_reachable(TransferAutomaton(width, reach, tuple(profiles), tuple(edges)))
 
 
-def _apply(edges: tuple[tuple[tuple[int, int], ...], ...], vec: list[int]) -> list[int]:
+def _apply(edges: tuple[tuple[tuple[int, int], ...], ...], vec: list[int],
+           sources: list[int] | None = None) -> list[int]:
+    # one column step, vec A; sources, when given, holds every i with vec[i] != 0
     out = [0] * len(vec)
-    for i, v in enumerate(vec):
+    for i in range(len(vec)) if sources is None else sources:
+        v = vec[i]
         if v:
             for j, w in edges[i]:
-                out[j] += v * w
+                out[j] += v if w == 1 else v * w  # nearly every w is 1: no big product
     return out
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .automaton import CountSeries, TransferAutomaton, _apply, series
 
@@ -154,6 +155,38 @@ def resample(s: CountSeries, k: int) -> list[int]:
     return list(s.terms[::k])
 
 
+class _Massey:
+    # Berlekamp-Massey over ℤ, fraction-free, fed one term at a time.  c and b
+    # are the current and last-length-change registers, up to scale; each
+    # update cross-multiplies by the two discrepancies and divides out the content
+    def __init__(self) -> None:
+        self.terms, self.c, self.b = [], (1,), (1,)
+        self.length, self.gap, self.b_disc = 0, 1, 1
+
+    def feed(self, term: int) -> None:
+        self.terms.append(term)
+        c, b, gap = self.c, self.b, self.gap
+        disc = sum(map(mul, c, reversed(self.terms)))
+        self.gap += 1
+        if disc:
+            nxt = [self.b_disc * x for x in c] + [0] * (len(b) + gap - len(c))
+            for j, x in enumerate(b):
+                nxt[j + gap] -= disc * x
+            if 2 * self.length < len(self.terms):
+                self.length, self.b, self.b_disc, self.gap = len(self.terms) - self.length, c, disc, 1
+            self.c = _primitive(nxt)
+
+    def recurrence(self) -> LinearRecurrence:
+        poly = _strip(self.c)
+        n, order = len(self.terms), len(poly) - 1
+        if n - self.length < order + 2 or any(x % poly[0] for x in poly):
+            raise RecurrenceError(
+                f"{n} terms leave {n - self.length} past the linear complexity {self.length}, "
+                f"too few to check an order-{order} integer recurrence; supply a longer series"
+            )
+        return LinearRecurrence(order, tuple(-x // poly[0] for x in poly[1:]), self.length)
+
+
 def infer_recurrence(terms) -> LinearRecurrence:
     """Minimal integer linear recurrence of the terms, by Berlekamp-Massey.
 
@@ -164,36 +197,14 @@ def infer_recurrence(terms) -> LinearRecurrence:
     which is reported as valid_from, so transients are allowed.  It is
     accepted only when C is integral and at least order + 2 terms lie past
     L.  The margin always holds when L <= len(terms) / 2 - 1, which also
-    makes C the unique minimal connection polynomial of the terms.  Each
-    update cross-multiplies by the two discrepancies and divides out the
-    content, so C is carried up to scale and divided by C(0) at the end.
+    makes C the unique minimal connection polynomial of the terms.  Each term
+    goes to the resumable state that strip_gf feeds column by column, and C,
+    carried up to scale, is divided by C(0) once at the end.
     """
-    a = [int(x) for x in terms]
-    n = len(a)
-    c, b = (1,), (1,)  # current and last-length-change registers, up to scale
-    length, gap, b_disc = 0, 1, 1
-    for t in range(n):
-        disc = sum(x * y for x, y in zip(c, a[t::-1]))
-        if disc == 0:
-            gap += 1
-            continue
-        nxt = [b_disc * x for x in c] + [0] * (len(b) + gap - len(c))
-        for j, x in enumerate(b):
-            nxt[j + gap] -= disc * x
-        if 2 * length <= t:
-            length, b, b_disc, gap = t + 1 - length, c, disc, 1
-        else:
-            gap += 1
-        c = _primitive(nxt)
-    poly = _strip(c)
-    order = len(poly) - 1
-    if n - length < order + 2 or any(x % poly[0] for x in poly):
-        raise RecurrenceError(
-            f"{n} terms leave {n - length} past the linear complexity {length}, "
-            f"too few to check an order-{order} integer recurrence; supply a longer series"
-        )
-    return LinearRecurrence(order=order, coeffs=tuple(-x // poly[0] for x in poly[1:]),
-                            valid_from=length)
+    bm = _Massey()
+    for x in terms:
+        bm.feed(int(x))
+    return bm.recurrence()
 
 
 def recurrence_to_gf(rec: LinearRecurrence, terms, step: int = 1) -> RationalGF:
@@ -267,65 +278,51 @@ def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
     return level, k
 
 
-def _times_b(auto: TransferAutomaton, k: int, v: list[int]) -> list[int]:
-    # v B, B = A^k: one resampled step of the row vector v
-    for _ in range(k):
-        v = _apply(auto.edges, v)
-    return v
-
-
-def _annihilates(auto: TransferAutomaton, k: int, rec: LinearRecurrence, steps: int) -> bool:
-    # exact check over ℤ that rec holds for every t >= valid_from.  With
-    # B = A^k, x = e0 B^s (s = valid_from - order, e0 the start row) and
-    # q(z) = z^d - c1 z^(d-1) - ... - cd, the residual a[t] - c1 a[t-1] - ...
-    # - cd a[t-d] at t = valid_from + j is entry 0 of w B^j, w = x q(B), by
-    # Horner in d B-steps.  w B^j = 0 for some j <= steps clears every later
-    # residual; the prefix that Berlekamp-Massey read holds the earlier ones.
-    x = [1] + [0] * (len(auto.states) - 1)
-    for _ in range(rec.valid_from - rec.order):
-        x = _times_b(auto, k, x)
-    w = x
-    for c in rec.coeffs:
-        w = [u - c * v for u, v in zip(_times_b(auto, k, w), x)]
-    for _ in range(steps):
-        if not any(w):
-            return True
-        w = _times_b(auto, k, w)
-    return not any(w)
+def _vanishes(xs: list[list[int]], coeffs: tuple[int, ...]) -> bool:
+    # whether x_t - c1 x_{t-1} - ... - cd x_{t-d} = 0, xs ending at x_t; stops at a nonzero entry
+    rows = xs[len(xs) - len(coeffs) - 1:][::-1]
+    return all(col[0] == sum(map(mul, coeffs, col[1:])) for col in zip(*rows))
 
 
 def strip_gf(auto: TransferAutomaton) -> RationalGF:
     """Generating function of a strip automaton in resampled indexing.
 
-    Takes the length step k exactly as the period of state 0, the start.  The
-    states whose BFS level is 0 mod k form the start's cyclic class; a[t] =
-    N(k t) is read off B = A^k restricted to those r0 states, so by
-    Cayley-Hamilton its linear complexity is at most r0, and often far less.
-    Berlekamp-Massey on 2 d + 2 terms, d = 8, 16, ... up to r0 / 4 and then
-    r0 // 2, proposes a recurrence, kept once _annihilates proves it for
-    every t; one that holds on every term is the unique minimal one.  With
-    no short prefix proved, Berlekamp-Massey on 2 r0 + 2 terms needs no check
-    (2 r0 terms fix the recurrence, two more meet the margin of
-    infer_recurrence).  The result is the same either way, and Fatou's lemma
-    makes the reduced num/den integral.  The attempts extend one sweep, but
-    Berlekamp-Massey cannot resume: an order just past a failed d costs
-    most, as that attempt's Berlekamp-Massey work nearly equals the final one's.
+    Takes the length step k exactly as the period of state 0, the start.
+    States at BFS level c mod k form cyclic class c, which a column step maps
+    into class c + 1; a[t] = N(k t) is read off B = A^k restricted to the
+    start's class of r0 states, so its linear complexity L is at most r0 by
+    Cayley-Hamilton.  One sweep x_t = e0 B^t, each column step visiting one
+    class, feeds a[t] = x_t[0] to a resumable Berlekamp-Massey.  A fit that
+    meets the margin of infer_recurrence holds for every t once its residual
+    x_t - c1 x_{t-1} - ... - cd x_{t-d} is the zero vector at the latest t:
+    later residuals are it times powers of B, and entry 0 of each earlier one
+    was matched.  That takes the last L + 2 start-class vectors, at most
+    (L + 2) r0 integers; an unchanged fit is checked again once the prefix
+    has doubled.  At 2 r0 + 2 terms, or at once below r0 = 16, no check is
+    needed (2 r0 terms fix the fit, two more meet the margin).  Either way it
+    is the unique minimal recurrence, and Fatou's lemma makes num/den integral.
     """
     level, k = _levels_and_period(auto)
-    r0 = sum(1 for v in level if v % k == 0)
-    tries = [8 << i for i in range(r0.bit_length()) if 32 << i <= r0]
-    if r0 >= 16:
-        tries.append(r0 // 2)
-    x, a = [1] + [0] * (len(auto.states) - 1), [1]  # a[t] = N(k t) = (e0 B^t)[0]
-    for d in tries:
-        while len(a) < 2 * d + 2:
-            x = _times_b(auto, k, x)
-            a.append(x[0])
+    classes = [[i for i, v in enumerate(level) if v % k == c] for c in range(k)]
+    r0 = len(classes[0])
+    if r0 < 16:
+        a = resample(series(auto, k * (2 * r0 + 1)), k)
+        return recurrence_to_gf(infer_recurrence(a), a, step=k)
+    bm, x, window, checked, since = _Massey(), [1] + [0] * (len(auto.states) - 1), [], None, 0
+    while True:
+        bm.feed(x[0])
+        window.append([x[i] for i in classes[0]])
+        del window[:-bm.length - 2]
+        n = len(bm.terms)
+        if n == 2 * r0 + 2:
+            return recurrence_to_gf(bm.recurrence(), bm.terms, step=k)
         try:
-            rec = infer_recurrence(a)
+            rec = bm.recurrence()
         except RecurrenceError:
-            continue
-        if _annihilates(auto, k, rec, len(a) - rec.valid_from - rec.order):
-            return recurrence_to_gf(rec, a, step=k)
-    a = resample(series(auto, k * (2 * r0 + 1)), k)
-    return recurrence_to_gf(infer_recurrence(a), a, step=k)
+            rec = None
+        if rec is not None and (rec != checked or n >= 2 * since):
+            checked, since = rec, n
+            if _vanishes(window, rec.coeffs):
+                return recurrence_to_gf(rec, bm.terms, step=k)
+        for sources in classes:
+            x = _apply(auto.edges, x, sources)

@@ -26,7 +26,7 @@ from tesserae import (
 )
 from tesserae import automaton, gf
 from tesserae.automaton import _apply
-from tesserae.gf import _annihilates, _levels_and_period
+from tesserae.gf import _levels_and_period, _Massey, _vanishes
 from tesserae.poly import PRESETS
 
 TROMINO4 = RationalGF((1, -6), (1, -10, 22, 4), 3)
@@ -344,7 +344,33 @@ def test_strip_gf_matches_r0_path_every_preset_width():
                 assert g == r0_path(auto), (name, width)
 
 
-def test_annihilator_rejects_a_fit_of_the_prefix_only():
+def start_sweep(auto, k, steps):
+    # x_t = e0 B^t, B = A^k, for t = 0..steps
+    xs = [[1] + [0] * (len(auto.states) - 1)]
+    for _ in range(steps):
+        x = xs[-1]
+        for _ in range(k):
+            x = _apply(auto.edges, x)
+        xs.append(x)
+    return xs
+
+
+@pytest.fixture
+def column_steps(monkeypatch):
+    # counts calls of _apply: series reaches it through automaton, strip_gf's
+    # sweep through gf
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return _apply(*args)
+
+    monkeypatch.setattr(automaton, "_apply", counting)
+    monkeypatch.setattr(gf, "_apply", counting)
+    return count
+
+
+def test_annihilator_rejects_a_fit_of_the_prefix_only(column_steps):
     # start self-loop plus a 40-cycle through the start: a(t) = a(t-1) + a(t-40)
     edges = (((0, 1), (1, 1)),) + tuple((((i + 1) % 40, 1),) for i in range(1, 40))
     auto = TransferAutomaton(1, 0, tuple(range(40)), edges)
@@ -352,44 +378,108 @@ def test_annihilator_rejects_a_fit_of_the_prefix_only():
     assert a == [1] * 10
     rec = infer_recurrence(a)
     assert rec == LinearRecurrence(order=1, coeffs=(1,), valid_from=1)
-    assert not _annihilates(auto, 1, rec, len(a) - rec.valid_from - rec.order)
+    assert not _vanishes(start_sweep(auto, 1, 9), rec.coeffs)
+    column_steps[0] = 0
     g = strip_gf(auto)
+    assert column_steps[0] == 2 * 40 + 1  # the sweep ran to the 2 r0 + 2 terminal
     assert g.den == (1, -1) + (0,) * 38 + (-1,)
     assert expand(g, 90) == list(series(auto, 90).terms)
 
 
 def test_annihilator_steps_past_the_order():
     # tromino-right width 8: the start row's Krylov degree under B = A^3 is
-    # 37, one more than the order, so w = e0 q(B) is nonzero but w B is zero
+    # 37, one more than the order, so the residual at t = valid_from is
+    # nonzero but one B-step later it is zero
     auto = build_automaton(preset("tromino-right"), 8)
     a = resample(series(auto, 3 * 79), 3)
     rec = infer_recurrence(a)
     assert (rec.order, rec.valid_from) == (36, 36)
-    assert not _annihilates(auto, 3, rec, 0)
-    assert _annihilates(auto, 3, rec, 1)
+    xs = start_sweep(auto, 3, 37)
+    assert not _vanishes(xs[:37], rec.coeffs)
+    assert _vanishes(xs, rec.coeffs)
 
 
-# column steps (calls of _apply) of strip_gf, and the counts from when each
-# prefix attempt still swept again from column 0
+# column steps (calls of _apply) of strip_gf, and the counts from when it
+# tried prefixes of 2 d + 2 terms and proved each fit by more B-steps
 APPLY_CALLS = [
-    ("domino", 10, 97, 147),
-    ("domino", 9, 98, 132),
-    ("tromino-right", 7, 183, 234),
+    ("domino", 10, 65, 97),
+    ("domino", 9, 66, 98),
+    ("tromino-right", 7, 108, 183),
+    ("tetromino-T", 12, 40, 88),
 ]
 
 
-@pytest.mark.parametrize("name, width, calls, restarted", APPLY_CALLS)
-def test_prefix_attempts_extend_one_sweep(monkeypatch, name, width, calls, restarted):
+@pytest.mark.parametrize("name, width, calls, tried", APPLY_CALLS)
+def test_one_sweep_column_steps(column_steps, name, width, calls, tried):
     auto = build_automaton(preset(name), width)
-    count = [0]
-
-    def counting(edges, vec):
-        count[0] += 1
-        return _apply(edges, vec)
-
-    # series reaches _apply through automaton, the sweep and the check through gf
-    monkeypatch.setattr(automaton, "_apply", counting)
-    monkeypatch.setattr(gf, "_apply", counting)
     g = strip_gf(auto)
-    assert count[0] == calls < restarted
+    assert column_steps[0] == calls < tried
     assert expand(g, 60) == resample(series(auto, 60 * g.step), g.step)
+
+
+def massey_from_scratch(terms):
+    # the Berlekamp-Massey loop before it could resume, run on the whole prefix
+    a = [int(x) for x in terms]
+    n = len(a)
+    c, b = (1,), (1,)
+    length, gap, b_disc = 0, 1, 1
+    for t in range(n):
+        disc = sum(x * y for x, y in zip(c, a[t::-1]))
+        if disc == 0:
+            gap += 1
+            continue
+        nxt = [b_disc * x for x in c] + [0] * (len(b) + gap - len(c))
+        for j, x in enumerate(b):
+            nxt[j + gap] -= disc * x
+        if 2 * length <= t:
+            length, b, b_disc, gap = t + 1 - length, c, disc, 1
+        else:
+            gap += 1
+        c = gf._primitive(nxt)
+    poly = gf._strip(c)
+    order = len(poly) - 1
+    if n - length < order + 2 or any(x % poly[0] for x in poly):
+        raise RecurrenceError(
+            f"{n} terms leave {n - length} past the linear complexity {length}, "
+            f"too few to check an order-{order} integer recurrence; supply a longer series"
+        )
+    return LinearRecurrence(order=order, coeffs=tuple(-x // poly[0] for x in poly[1:]),
+                            valid_from=length)
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args)
+    except RecurrenceError as e:
+        return str(e)
+
+
+@st.composite
+def gf_expansions(draw):
+    g = RationalGF(tuple(draw(st.lists(small_ints, min_size=1, max_size=5))),
+                   (1, *draw(st.lists(small_ints, min_size=1, max_size=5))), 1)
+    return expand(g, draw(st.integers(0, 30)))
+
+
+@st.composite
+def non_integral(draw):
+    # sum of m p^t q^(n-t): roots p/q, so the minimal recurrence has
+    # denominators unless every p is a multiple of q
+    q, n = draw(st.integers(2, 5)), draw(st.integers(0, 24))
+    parts = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), min_size=1, max_size=3))
+    return [sum(m * p**t * q ** (n - t) for p, m in parts) for t in range(n + 1)]
+
+
+sequences = st.one_of(gf_expansions(), st.lists(st.integers(-50, 50), max_size=24), non_integral())
+
+
+@settings(deadline=None, max_examples=150)
+@given(terms=sequences)
+def test_resumable_massey_matches_every_prefix(terms):
+    bm = _Massey()
+    for n in range(len(terms) + 1):
+        if n:
+            bm.feed(terms[n - 1])
+        want = _outcome(massey_from_scratch, terms[:n])
+        assert _outcome(bm.recurrence) == want
+        assert _outcome(infer_recurrence, terms[:n]) == want
