@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
 
-from .poly import Polyomino, TileSet
+from .poly import TileSet
 
 
 class AutomatonError(ValueError):
@@ -64,25 +63,6 @@ class CountSeries:
     terms: tuple[int, ...]
 
 
-def _anchored_masks(variant: Polyomino, width: int) -> Iterator[tuple[int, int]]:
-    """Placements of one variant inside a column step, per anchor row.
-
-    The anchor is the variant's scan-first cell: the topmost cell of its
-    leftmost column.  Yields (anchor_row, mask) where mask holds the cells
-    the placement covers in the working window, column j at bits j*width..
-    """
-    lead_row = min(r for r, c in variant.cells if c == 0)
-    for anchor in range(width):
-        mask = 0
-        for r, c in variant.cells:
-            row = anchor + r - lead_row
-            if row < 0 or row >= width:
-                break
-            mask |= 1 << (c * width + row)
-        else:
-            yield anchor, mask
-
-
 def _profile_label(packed: int, width: int, reach: int) -> str:
     if reach == 0:
         return "flush"
@@ -98,7 +78,9 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     bottom; every placement is anchored at the topmost cell of its leftmost
     column, so each tiling is generated exactly once.  The working window of
     reach + 1 columns is one integer, column j at bits j*width.., and each
-    placement is one mask over it, tested and set in single AND/OR steps.
+    placement is one mask over it, tested and set in single AND/OR steps: a
+    variant's placements are its mask at row 0 shifted down the strip, one row
+    per anchor, for the width - height + 1 anchors where it fits.
     Profiles are discovered lazily from the all-empty start profile, never
     enumerated wholesale; finding more than MAX_STATES raises StateBudgetError,
     as does a width past MAX_WIDTH, before any placement is built.
@@ -115,8 +97,10 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
 
     placements: list[list[int]] = [[] for _ in range(width)]
     for v in variants:
-        for anchor, mask in _anchored_masks(v, width):
-            placements[anchor].append(mask)
+        lead = min(r for r, c in v.cells if c == 0)  # anchor row when v touches row 0
+        mask = sum(1 << (c * width + r) for r, c in v.cells)
+        for s in range(width - v.height + 1):
+            placements[lead + s].append(mask << s)
 
     full = (1 << width) - 1
     index = {0: 0}  # leaving profile (window >> width) -> state number

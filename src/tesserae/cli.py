@@ -118,8 +118,9 @@ def _cmd_gf(args) -> dict:
 def _cmd_faultfree(args) -> dict:
     _check_width(args.width), _check_length(args.length)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
+    # its terms count blocks of up to length * step columns, step the start's period
+    _check_sweep(auto, args.length * gfmod._levels_and_period(auto)[1])
     g = gfmod.faultfree(gfmod.strip_gf(auto))
-    _check_sweep(auto, args.length * g.step)  # its terms count blocks of up to that many columns
     terms = gfmod.expand(g, args.length)
     return {"command": "faultfree", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step,

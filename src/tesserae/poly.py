@@ -80,24 +80,18 @@ def orientations(
 ) -> list[Polyomino]:
     """All distinct images of p under the admitted symmetries.
 
-    The group is generated by quarter turns and/or a mirror flip, so the
-    result is closed under whichever operations are allowed.  Duplicates
-    collapse after normalization; the list is sorted for determinism.
+    The images are listed directly: p, then its three quarter turns when
+    rotations are allowed, then the mirror image of each when reflections
+    are allowed; that is the whole group the admitted operations generate.
+    Duplicates collapse after normalization; the list is sorted for determinism.
     """
-    seen = {p}
-    frontier = [p]
-    while frontier:
-        q = frontier.pop()
-        images = []
-        if allow_rotations:
-            images.append(Polyomino(_rotated(q.cells)))
-        if allow_reflections:
-            images.append(Polyomino(_mirrored(q.cells)))
-        for img in images:
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return sorted(seen, key=lambda q: sorted(q.cells))
+    images = [p.cells]
+    if allow_rotations:
+        for _ in range(3):
+            images.append(_rotated(images[-1]))
+    if allow_reflections:
+        images += [_mirrored(q) for q in images]
+    return sorted(set(map(Polyomino, images)), key=lambda q: sorted(q.cells))
 
 
 @dataclass(frozen=True)

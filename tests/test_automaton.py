@@ -1,5 +1,6 @@
 import hashlib
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,35 @@ def test_raw_automaton_numbering_pinned(name, width):
         return
     dot = to_dot(build_automaton(preset(name), width))
     assert hashlib.sha256(dot.encode()).hexdigest()[:16] == DOT_DIGESTS[name, width]
+
+
+# the same digests for the code block under README's "Tile files" heading, a
+# right tromino and an L tetromino, under each symmetry policy, recorded while
+# each placement was rebuilt cell by cell for every anchor row
+README_DOT_DIGESTS = {
+    ("all", 2): "7f37a22dc7589e36",
+    ("all", 3): "43e76d6e1b92e9d6",
+    ("all", 4): "5782cb1cd22609e8",
+    ("all", 5): "686a428516783e11",
+    ("rotations", 2): "b4bcd7507d9bbbe3",
+    ("rotations", 3): "8810fcdcbbc97836",
+    ("rotations", 4): "9dfa03cd59961f45",
+    ("rotations", 5): "bced00f5d994c073",
+    ("none", 2): "367dd48e00ba1261",
+    ("none", 3): "81f670721a3c2859",
+    ("none", 4): "6effe36c2c4400ac",
+    ("none", 5): "a4028b33dbdfefb4",
+}
+
+
+@pytest.mark.parametrize("symmetry, width", sorted(README_DOT_DIGESTS))
+def test_readme_tile_file_numbering_pinned(symmetry, width):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Tile files", 1)[1].split("```\n")[1]
+    assert block.startswith("@symmetry: all\n")
+    tiles = parse_tile_file(block.replace("all", symmetry, 1))
+    dot = to_dot(build_automaton(tiles, width))
+    assert hashlib.sha256(dot.encode()).hexdigest()[:16] == README_DOT_DIGESTS[symmetry, width]
 
 
 def test_state_budget():

@@ -152,6 +152,9 @@ class TestExitCodes:
         # T tetromino variants fit in width 2 but never complete a rectangle
         assert run(capsys, "gf", "--tiles", "tetromino-T", "--width", "2")[0] == 3
         assert run(capsys, "entropy", "--tiles", "tetromino-T", "--width", "2")[0] == 3
+        # before the length budget: no length of width 6 is tiled at all
+        argv = ("faultfree", "--tiles", "tetromino-T", "--width", "6", "--length", "1000000")
+        assert run(capsys, *argv)[0] == 3
 
     def test_oracle_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TESSERAE_MAX_CELLS", "10")
@@ -219,10 +222,11 @@ class TestExitCodes:
             ("count", "--tiles", "domino", "--width", "16", "--length", "40"),
             ("series", "--tiles", "domino", "--width", "12", "--length", "579"),
             ("faultfree", "--tiles", "domino", "--width", "2", "--length", "1000000"),
+            ("faultfree", "--tiles", "tetromino-L", "--width", "7", "--length", "1000000"),
         ],
     )
     def test_length_past_budget(self, capsys, argv):
-        # refused before the sweep or the expansion; the two middle lengths are
+        # refused before strip_gf, the sweep or the expansion; the two middle lengths are
         # one past the largest the MAX_SWEEP_WORK comment names
         start = time.perf_counter()
         code, _, err = run(capsys, *argv)

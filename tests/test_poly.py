@@ -14,6 +14,7 @@ from tesserae import (
     parse_tile_file,
     preset,
 )
+from tesserae.poly import PRESETS
 
 
 def cells(*pairs):
@@ -99,8 +100,8 @@ def test_orientation_flags():
 
 
 @st.composite
-def polyominoes(draw):
-    size = draw(st.integers(min_value=1, max_value=6))
+def polyominoes(draw, max_cells=6):
+    size = draw(st.integers(min_value=1, max_value=max_cells))
     shape = {(0, 0)}
     while len(shape) < size:
         frontier = sorted(
@@ -124,6 +125,67 @@ def test_orientations_closed_under_admitted_symmetry(p, rot, ref):
         assert v.area == p.area
     if rot and ref:
         assert 8 % len(variants) == 0
+
+
+def _closure(p, rot, ref):
+    # the closure search orientations ran before it listed the group
+    # directly, kept with its own quarter turn and mirror as a reference
+    seen, frontier = {p}, [p]
+    while frontier:
+        q = frontier.pop()
+        images = []
+        if rot:
+            images.append(Polyomino(frozenset((c, -r) for r, c in q.cells)))
+        if ref:
+            images.append(Polyomino(frozenset((r, -c) for r, c in q.cells)))
+        for img in images:
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return sorted(seen, key=lambda q: sorted(q.cells))
+
+
+@settings(deadline=None, max_examples=200)
+@given(p=polyominoes(max_cells=7), rot=st.booleans(), ref=st.booleans())
+def test_orientations_match_the_closure_in_order(p, rot, ref):
+    assert orientations(p, rot, ref) == _closure(p, rot, ref)
+
+
+def _rows(p):
+    return "/".join(
+        "".join("#" if (r, c) in p.cells else "." for c in range(p.width)) for r in range(p.height)
+    )
+
+
+# each preset's variants in order, one '/'-separated grid each, recorded while
+# orientations was a closure search: the order fixes the state numbering
+PRESET_VARIANTS = {
+    ("monomino", "all"): ("#",),
+    ("domino", "all"): ("##", "#/#"),
+    ("tromino-right", "all"): ("##/#.", "##/.#", "#./##", ".#/##"),
+    ("tetromino-L", "all"): ("###/#..", "###/..#", "##/#./#.", "##/.#/.#",
+                             "#../###", "#./#./##", ".#/.#/##", "..#/###"),
+    ("tetromino-T", "all"): ("###/.#.", "#./##/#.", ".#./###", ".#/##/.#"),
+    ("monomino", "rotations"): ("#",),
+    ("domino", "rotations"): ("##", "#/#"),
+    ("tromino-right", "rotations"): ("##/#.", "##/.#", "#./##", ".#/##"),
+    ("tetromino-L", "rotations"): ("###/#..", "##/.#/.#", "#./#./##", "..#/###"),
+    ("tetromino-T", "rotations"): ("###/.#.", "#./##/#.", ".#./###", ".#/##/.#"),
+    ("monomino", "none"): ("#",),
+    ("domino", "none"): ("##",),
+    ("tromino-right", "none"): ("##/#.",),
+    ("tetromino-L", "none"): ("#./#./##",),
+    ("tetromino-T", "none"): ("###/.#.",),
+}
+FLAGS = {"all": (True, True), "rotations": (True, False), "none": (False, False)}
+
+
+@pytest.mark.parametrize("name, symmetry", sorted(PRESET_VARIANTS))
+def test_preset_variant_order_pinned(name, symmetry):
+    tiles = make_tileset([parse_polyomino(PRESETS[name])], *FLAGS[symmetry])
+    assert tuple(map(_rows, tiles.variants)) == PRESET_VARIANTS[name, symmetry]
+    if symmetry == "all":
+        assert tiles.variants == preset(name).variants
 
 
 @pytest.mark.parametrize(
