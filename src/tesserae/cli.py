@@ -41,7 +41,7 @@ def _tileset(spec: str) -> poly.TileSet:
     if not path.is_file():
         raise poly.TileError(f"{spec!r} is neither a preset nor a tile file")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise poly.TileError(f"cannot read tile file {spec!r}: {exc}") from exc
     return poly.parse_tile_file(text)
@@ -102,6 +102,8 @@ def _cmd_oracle(args) -> dict:
         cap = int(os.environ.get("TESSERAE_MAX_CELLS", "64"))
     except ValueError:
         raise UsageError("TESSERAE_MAX_CELLS must be an integer") from None
+    if cap < 0:
+        raise UsageError("TESSERAE_MAX_CELLS must be nonnegative")
     n = am.brute_force_count(_tileset(args.tiles), args.width, args.length, max_cells=cap)
     return {"command": "oracle", "tiles": args.tiles, "width": args.width,
             "length": args.length, "count": str(n)}
@@ -119,7 +121,7 @@ def _cmd_faultfree(args) -> dict:
     _check_width(args.width), _check_length(args.length)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
     # its terms count blocks of up to length * step columns, step the start's period
-    _check_sweep(auto, args.length * gfmod._levels_and_period(auto)[1])
+    _check_sweep(auto, args.length * len(gfmod._cyclic_classes(auto)))
     g = gfmod.faultfree(gfmod.strip_gf(auto))
     terms = gfmod.expand(g, args.length)
     return {"command": "faultfree", "tiles": args.tiles, "width": args.width,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .automaton import CountSeries, TransferAutomaton, _apply, series
+from .automaton import TransferAutomaton, _apply, series
 
 
 class RecurrenceError(ValueError):
@@ -18,7 +18,7 @@ class RecurrenceError(ValueError):
 
 
 class NoTilingsError(ValueError):
-    """Every term beyond n = 0 is zero, so no length step exists."""
+    """No closed walk returns to the start: every term past n = 0 is zero, so no step exists."""
 
 
 def _strip(p) -> tuple[int, ...]:
@@ -136,25 +136,6 @@ class LinearRecurrence:
     valid_from: int
 
 
-def detect_step(s: CountSeries) -> int:
-    """Gcd of all lengths n >= 1 with a nonzero count: the series-side oracle
-    for the graph period that strip_gf takes as its resampling step k."""
-    k = 0
-    for n, term in enumerate(s.terms):
-        if n and term:
-            k = gcd(k, n)
-    if not k:
-        raise NoTilingsError(f"width {s.width} admits no tiling of any positive length")
-    return k
-
-
-def resample(s: CountSeries, k: int) -> list[int]:
-    """Every k-th count: a[t] = N(k t), the natural indexing for the tiles."""
-    if k < 1:
-        raise ValueError("step must be positive")
-    return list(s.terms[::k])
-
-
 class _Massey:
     # Berlekamp-Massey over ℤ, fraction-free, fed one term at a time.  c and b
     # are the current and last-length-change registers, up to scale; each
@@ -258,10 +239,10 @@ def from_faultfree(g: RationalGF) -> RationalGF:
     return RationalGF(g.den, den, g.step)
 
 
-def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
-    # BFS levels from the start, state 0, and the gcd of closed-walk lengths
-    # through it; the automaton is one strongly connected component, so that
-    # is the gcd of level[i] + 1 - level[j] over edges
+def _cyclic_classes(a: TransferAutomaton) -> list[list[int]]:
+    # class c: the states at BFS level c mod k from the start, state 0, ascending;
+    # the automaton is one strongly connected component, so k, the gcd of closed-walk
+    # lengths through the start, is that of level[i] + 1 - level[j] over edges
     level = [0] + [-1] * (len(a.states) - 1)
     queue = [0]
     for i in queue:
@@ -275,7 +256,10 @@ def _levels_and_period(a: TransferAutomaton) -> tuple[list[int], int]:
             k = gcd(k, level[i] + 1 - level[j])
     if not k:
         raise NoTilingsError(f"width {a.width} admits no tiling of any positive length")
-    return level, k
+    classes = [[] for _ in range(k)]
+    for i, v in enumerate(level):
+        classes[v % k].append(i)
+    return classes
 
 
 def _vanishes(xs: list[list[int]], coeffs: tuple[int, ...]) -> bool:
@@ -302,11 +286,10 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
     needed (2 r0 terms fix the fit, two more meet the margin).  Either way it
     is the unique minimal recurrence, and Fatou's lemma makes num/den integral.
     """
-    level, k = _levels_and_period(auto)
-    classes = [[i for i, v in enumerate(level) if v % k == c] for c in range(k)]
-    r0 = len(classes[0])
+    classes = _cyclic_classes(auto)
+    k, r0 = len(classes), len(classes[0])
     if r0 < 16:
-        a = resample(series(auto, k * (2 * r0 + 1)), k)
+        a = series(auto, k * (2 * r0 + 1)).terms[::k]
         return recurrence_to_gf(infer_recurrence(a), a, step=k)
     bm, x, window, checked, since = _Massey(), [1] + [0] * (len(auto.states) - 1), [], None, 0
     while True:

@@ -124,6 +124,15 @@ class TestTileFiles:
         assert (code, out) == (2, "")
         assert "tile" in err.lower()
 
+    def test_tile_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bar.tiles"
+        path.write_bytes(b"##\n")
+        argv = ("gf", "--tiles", str(path), "--width", "2", "--json")
+        plain = run(capsys, *argv)
+        path.write_bytes(b"\xef\xbb\xbf##\n")
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
+
     def test_tile_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "binary.tiles"
         path.write_bytes(b"\xff\xfe#\n")
@@ -161,6 +170,15 @@ class TestExitCodes:
         assert run(capsys, "oracle", "--tiles", "domino", "--width", "4", "--length", "4")[0] == 1
         monkeypatch.setenv("TESSERAE_MAX_CELLS", "64")
         assert run(capsys, "oracle", "--tiles", "domino", "--width", "4", "--length", "4")[0] == 0
+
+    def test_oracle_cap_env_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("TESSERAE_MAX_CELLS", "-5")
+        argv = ("oracle", "--tiles", "domino", "--width", "1", "--length", "0")
+        assert run(capsys, *argv) == (1, "", "usage error: TESSERAE_MAX_CELLS must be nonnegative\n")
+        # a zero cap admits only empty rectangles
+        monkeypatch.setenv("TESSERAE_MAX_CELLS", "0")
+        assert run_json(capsys, *argv)["count"] == "1"
+        assert run(capsys, "oracle", "--tiles", "domino", "--width", "1", "--length", "2")[0] == 1
 
     def test_bad_beta(self, capsys):
         assert run(capsys, "ising-bound", "--beta", "two")[0] == 1

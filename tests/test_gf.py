@@ -1,18 +1,17 @@
 import hashlib
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tesserae import (
-    CountSeries,
     LinearRecurrence,
     NoTilingsError,
     RationalGF,
     RecurrenceError,
     TransferAutomaton,
     build_automaton,
-    detect_step,
     expand,
     faultfree,
     from_faultfree,
@@ -20,13 +19,12 @@ from tesserae import (
     poly_gcd,
     preset,
     recurrence_to_gf,
-    resample,
     series,
     strip_gf,
 )
 from tesserae import automaton, gf
 from tesserae.automaton import _apply
-from tesserae.gf import _levels_and_period, _Massey, _vanishes
+from tesserae.gf import _cyclic_classes, _Massey, _vanishes
 from tesserae.poly import PRESETS
 
 TROMINO4 = RationalGF((1, -6), (1, -10, 22, 4), 3)
@@ -40,34 +38,33 @@ def strip_series(name, width, length):
     return series(build_automaton(preset(name), width), length)
 
 
+def detect_step(s):
+    """Gcd of all lengths n >= 1 with a nonzero count: the series-side oracle
+    for the graph period that strip_gf takes as its resampling step k."""
+    k = 0
+    for n, term in enumerate(s.terms):
+        if n and term:
+            k = gcd(k, n)
+    if not k:
+        raise NoTilingsError(f"width {s.width} admits no tiling of any positive length")
+    return k
+
+
 class TestDetectStep:
+    # the length step is the number of the start's cyclic classes
     def test_t_tetromino(self):
-        assert detect_step(strip_series("tetromino-T", 4, 12)) == 4
+        assert len(_cyclic_classes(build_automaton(preset("tetromino-T"), 4))) == 4
 
     def test_tromino_width5(self):
-        # no 5x3 tilings, so the gcd comes from lengths 6, 9, 12, ...
-        assert detect_step(strip_series("tromino-right", 5, 12)) == 3
+        # no 5x3 tilings, so the period comes from closed walks of 6, 9, 12, ... columns
+        assert len(_cyclic_classes(build_automaton(preset("tromino-right"), 5))) == 3
 
     def test_monomino(self):
-        assert detect_step(strip_series("monomino", 1, 4)) == 1
+        assert _cyclic_classes(build_automaton(preset("monomino"), 1)) == [[0]]
 
     def test_all_zero_raises(self):
         with pytest.raises(NoTilingsError):
-            detect_step(CountSeries(width=2, terms=(1, 0, 0, 0, 0)))
-
-
-class TestResample:
-    def test_step3(self):
-        s = strip_series("tromino-right", 4, 12)
-        assert resample(s, 3) == [1, 4, 18, 88, 468]
-
-    def test_identity(self):
-        s = strip_series("domino", 2, 5)
-        assert resample(s, 1) == list(s.terms)
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            resample(strip_series("domino", 2, 5), 0)
+            _cyclic_classes(build_automaton(preset("tetromino-T"), 2))
 
 
 class TestInferRecurrence:
@@ -80,7 +77,7 @@ class TestInferRecurrence:
         assert (rec.order, rec.coeffs, rec.valid_from) == (1, (2,), 1)
 
     def test_tromino_width4_order3(self):
-        a = resample(strip_series("tromino-right", 4, 36), 3)
+        a = strip_series("tromino-right", 4, 36).terms[::3]
         rec = infer_recurrence(a)
         assert (rec.order, rec.coeffs) == (3, (10, -22, -4))
 
@@ -89,7 +86,7 @@ class TestInferRecurrence:
         assert (rec.order, rec.coeffs, rec.valid_from) == (2, (1, 1), 2)
 
     def test_zero_terms_participate(self):
-        a = resample(strip_series("tromino-right", 5, 36), 3)
+        a = strip_series("tromino-right", 5, 36).terms[::3]
         assert a[1] == 0
         rec = infer_recurrence(a)
         assert rec.coeffs == (2, 103, 280, 380)
@@ -106,19 +103,19 @@ class TestInferRecurrence:
 
 class TestRecurrenceToGF:
     def test_tromino_width4(self):
-        a = resample(strip_series("tromino-right", 4, 36), 3)
+        a = strip_series("tromino-right", 4, 36).terms[::3]
         assert recurrence_to_gf(infer_recurrence(a), a, step=3) == TROMINO4
 
     def test_tromino_width5(self):
-        a = resample(strip_series("tromino-right", 5, 42), 3)
+        a = strip_series("tromino-right", 5, 42).terms[::3]
         assert recurrence_to_gf(infer_recurrence(a), a, step=3) == TROMINO5
 
     def test_l_tetromino(self):
-        a = resample(strip_series("tetromino-L", 4, 40), 2)
+        a = strip_series("tetromino-L", 4, 40).terms[::2]
         assert recurrence_to_gf(infer_recurrence(a), a, step=2) == ELL4
 
     def test_t_tetromino(self):
-        a = resample(strip_series("tetromino-T", 4, 48), 4)
+        a = strip_series("tetromino-T", 4, 48).terms[::4]
         assert recurrence_to_gf(infer_recurrence(a), a, step=4) == TEE4
 
     def test_too_few_terms(self):
@@ -229,7 +226,7 @@ def test_round_trip_every_preset_width():
                 g = strip_gf(auto)
             except (AutomatonError, NoTilingsError):
                 continue
-            a = resample(series(auto, g.step * 60), g.step)
+            a = list(series(auto, g.step * 60).terms[::g.step])
             assert expand(g, 60) == a, (name, width)
 
 
@@ -301,17 +298,43 @@ def test_graph_period_step_matches_series_gcd():
                 k = detect_step(series(auto, 24))
             except NoTilingsError:
                 with pytest.raises(NoTilingsError):
-                    _levels_and_period(auto)[1]
+                    _cyclic_classes(auto)
                 continue
-            assert _levels_and_period(auto)[1] == k, (name, width)
+            assert len(_cyclic_classes(auto)) == k, (name, width)
+
+
+def checked_classes(auto):
+    # the start's cyclic classes, once checked to partition the states with
+    # every edge i -> j running from class c to class c + 1 mod k, which
+    # strip_gf relies on when it steps only the current class's sources
+    classes = _cyclic_classes(auto)
+    assert classes[0][0] == 0 and all(states == sorted(states) for states in classes)
+    assert sorted(sum(classes, [])) == list(range(len(auto.states)))
+    cls = {i: c for c, states in enumerate(classes) for i in states}
+    for i, out in enumerate(auto.edges):
+        for j, _ in out:
+            assert cls[j] == (cls[i] + 1) % len(classes), (i, j)
+    return classes
+
+
+def test_cyclic_classes_partition_and_advance_every_preset_width():
+    # test_independent_routes_agree_on_random_tile_sets checks random tile sets
+    from tesserae import AutomatonError
+
+    for name in PRESETS:
+        for width in range(1, 9):
+            try:
+                checked_classes(build_automaton(preset(name), width))
+            except (AutomatonError, NoTilingsError):
+                continue
 
 
 def r0_path(auto):
     # strip_gf's certificate before short prefixes: Berlekamp-Massey on the
     # 2 r0 + 2 resampled terms, certified by Cayley-Hamilton alone
-    level, k = _levels_and_period(auto)
-    r0 = sum(1 for v in level if v % k == 0)
-    a = resample(series(auto, k * (2 * r0 + 1)), k)
+    classes = _cyclic_classes(auto)
+    k, r0 = len(classes), len(classes[0])
+    a = series(auto, k * (2 * r0 + 1)).terms[::k]
     return recurrence_to_gf(infer_recurrence(a), a, step=k)
 
 
@@ -374,7 +397,7 @@ def test_annihilator_rejects_a_fit_of_the_prefix_only(column_steps):
     # start self-loop plus a 40-cycle through the start: a(t) = a(t-1) + a(t-40)
     edges = (((0, 1), (1, 1)),) + tuple((((i + 1) % 40, 1),) for i in range(1, 40))
     auto = TransferAutomaton(1, 0, tuple(range(40)), edges)
-    a = resample(series(auto, 9), 1)
+    a = list(series(auto, 9).terms)
     assert a == [1] * 10
     rec = infer_recurrence(a)
     assert rec == LinearRecurrence(order=1, coeffs=(1,), valid_from=1)
@@ -391,7 +414,7 @@ def test_annihilator_steps_past_the_order():
     # 37, one more than the order, so the residual at t = valid_from is
     # nonzero but one B-step later it is zero
     auto = build_automaton(preset("tromino-right"), 8)
-    a = resample(series(auto, 3 * 79), 3)
+    a = series(auto, 3 * 79).terms[::3]
     rec = infer_recurrence(a)
     assert (rec.order, rec.valid_from) == (36, 36)
     xs = start_sweep(auto, 3, 37)
@@ -414,7 +437,7 @@ def test_one_sweep_column_steps(column_steps, name, width, calls, tried):
     auto = build_automaton(preset(name), width)
     g = strip_gf(auto)
     assert column_steps[0] == calls < tried
-    assert expand(g, 60) == resample(series(auto, 60 * g.step), g.step)
+    assert expand(g, 60) == list(series(auto, 60 * g.step).terms[::g.step])
 
 
 def massey_from_scratch(terms):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_automaton import GROWTH, _grid
-from test_gf import _mul, r0_path
+from test_gf import _mul, checked_classes, detect_step, r0_path
 
 from tesserae import (
     AutomatonError,
@@ -14,7 +14,6 @@ from tesserae import (
     RationalGF,
     SpectralError,
     build_automaton,
-    detect_step,
     dominant_root,
     entropy_lower,
     entropy_upper,
@@ -24,13 +23,11 @@ from tesserae import (
     parse_tile_file,
     perron_root,
     preset,
-    resample,
     residual,
     series,
     strip_entropy,
     strip_gf,
 )
-from tesserae.gf import _levels_and_period
 from tesserae.poly import PRESETS
 from tesserae.spectral import PERRON_TOL
 
@@ -256,24 +253,24 @@ def test_independent_routes_agree_on_random_tile_sets(shapes, symmetry, width):
     # and a path home, against BFS path to j and the same path home
     prefix = series(auto, 2 * len(auto.states))
     try:
-        level, step = _levels_and_period(auto)
+        classes = checked_classes(auto)
     except NoTilingsError:
         with pytest.raises(NoTilingsError):
             detect_step(prefix)
         return
+    step, r0 = len(classes), len(classes[0])
     assert detect_step(prefix) == step
     # strip_gf's exact Berlekamp-Massey and gcd grow steeply with the order,
     # which can come near r0: domino plus I-pentomino at width 4 (r0 = 625,
     # order 320) takes minutes, so the gf routes run on start classes of up to
     # 400 states, and the r0 path, which always reads 2 r0 + 2 terms, up to 200
-    r0 = sum(1 for v in level if v % step == 0)
     if r0 > 400:
         return
     g = strip_gf(auto)
     assert g.step == step
     if r0 <= 200:
         assert g == r0_path(auto)
-    assert expand(g, 30) == resample(series(auto, 30 * step), step)
+    assert expand(g, 30) == list(series(auto, 30 * step).terms[::step])
     assert perron_root(auto) ** step == pytest.approx(dominant_root(g), rel=1e-9, abs=0)
 
 
