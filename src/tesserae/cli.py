@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -98,13 +97,7 @@ def _cmd_series(args) -> dict:
 
 def _cmd_oracle(args) -> dict:
     _check_width(args.width), _check_length(args.length)
-    try:
-        cap = int(os.environ.get("TESSERAE_MAX_CELLS", "64"))
-    except ValueError:
-        raise UsageError("TESSERAE_MAX_CELLS must be an integer") from None
-    if cap < 0:
-        raise UsageError("TESSERAE_MAX_CELLS must be nonnegative")
-    n = am.brute_force_count(_tileset(args.tiles), args.width, args.length, max_cells=cap)
+    n = am.brute_force_count(_tileset(args.tiles), args.width, args.length)
     return {"command": "oracle", "tiles": args.tiles, "width": args.width,
             "length": args.length, "count": str(n)}
 
@@ -275,7 +268,7 @@ def main(argv=None) -> int:
     except gfmod.NoTilingsError as exc:
         print(f"no tilings: {exc}", file=sys.stderr)
         return EXIT_NO_TILINGS
-    except ValueError as exc:  # budgets, oracle cap, recurrence, spectral and Ising errors
+    except ValueError as exc:  # budgets, recurrence, spectral and Ising errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(render_json(report) if args.json else render_text(report))

@@ -44,7 +44,7 @@ class TestBuild:
         assert series(auto, 6).terms == (1, 0, 1, 0, 1, 0, 1)
 
     def test_domino_width2_fibonacci(self):
-        # frozen from the exhaustive oracle on 2 x n, n <= 6
+        # frozen from the brute-force oracle on 2 x n, n <= 6
         auto = build_automaton(preset("domino"), 2)
         assert series(auto, 6).terms == (1, 1, 2, 3, 5, 8, 13)
 
@@ -193,18 +193,40 @@ class TestOracle:
     def test_zero_length(self):
         assert brute_force_count(preset("domino"), 3, 0) == 1
 
-    def test_cap(self):
-        with pytest.raises(OracleLimitError):
-            brute_force_count(preset("domino"), 8, 9)
-        # raising the cap admits the request; 5x9 right trominoes stay cheap
-        assert brute_force_count(preset("tromino-right"), 5, 9, max_cells=45) == 384
+    def test_budget(self):
+        # the I pentomino and the domino need 723773 partial fillings at 8x8
+        with pytest.raises(OracleLimitError, match="budget"):
+            brute_force_count(parse_tile_file("##\n\n#####"), 8, 8)
+        # 72 cells: the budget counts partial fillings, not cells
+        assert brute_force_count(preset("domino"), 8, 9) == count_rect(
+            build_automaton(preset("domino"), 8), 9)
+        assert brute_force_count(preset("tromino-right"), 5, 9) == 384
 
     def test_cells_past_recursion_bound(self):
         # one recursion per tile placed: a 1x3000 monomino strip would exhaust
-        # the stack, so it is refused whatever max_cells admits
+        # the stack, so it is refused however few fillings it has
         with pytest.raises(OracleLimitError, match=str(MAX_WIDTH)):
-            brute_force_count(preset("monomino"), 1, 3000, max_cells=3000)
-        assert brute_force_count(preset("monomino"), 1, MAX_WIDTH, max_cells=3000) == 1
+            brute_force_count(preset("monomino"), 1, 3000)
+        assert brute_force_count(preset("monomino"), 1, MAX_WIDTH) == 1
+
+    def test_readme_tile_file_8x8(self):
+        tiles = parse_tile_file("@symmetry: all\n##\n#.\n\n#..\n###")
+        count = brute_force_count(tiles, 8, 8)
+        assert count == count_rect(build_automaton(tiles, 8), 8) == 1472632956
+
+    def test_every_preset_rectangle_up_to_64_cells(self):
+        cases = 0
+        for name in PRESETS:
+            tiles = preset(name)
+            for width in range(1, 9):
+                try:
+                    counts = series(build_automaton(tiles, width), 64 // width).terms
+                except AutomatonError:
+                    counts = [1] + [0] * (64 // width)
+                for length, count in enumerate(counts):
+                    assert brute_force_count(tiles, width, length) == count, (name, width, length)
+                    cases += 1
+        assert cases == 900
 
     def test_long_narrow_strip_scans_short_side(self):
         tiles = parse_tile_file("##\n.#\n\n..#\n###")
@@ -437,7 +459,7 @@ def _grid(moves) -> str:
 @given(
     shapes=st.lists(GROWTH, min_size=1, max_size=2),
     symmetry=st.sampled_from(["all", "rotations", "none"]),
-    width=st.integers(1, 5),
+    width=st.integers(1, 6),
 )
 def test_automaton_matches_oracle_on_random_tile_sets(shapes, symmetry, width):
     text = f"@symmetry: {symmetry}\n" + "\n\n".join(map(_grid, shapes))
@@ -448,8 +470,7 @@ def test_automaton_matches_oracle_on_random_tile_sets(shapes, symmetry, width):
         assert all(v.height > width for v in tiles.variants)
         return
     assert trim_reachable(auto) is auto
-    counts = series(auto, 36 // width).terms
+    counts = series(auto, 64 // width).terms
     assert counts[0] == 1
     for length, count in enumerate(counts[1:], start=1):
-        if count <= 5000:  # the oracle visits tilings one by one; smaller rectangles decide
-            assert brute_force_count(tiles, width, length) == count, (text, width, length)
+        assert brute_force_count(tiles, width, length) == count, (text, width, length)

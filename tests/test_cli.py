@@ -80,6 +80,12 @@ class TestCommands:
         report = run_json(capsys, "oracle", "--tiles", "tromino-right", "--width", "4", "--length", "6")
         assert report["count"] == "18"
 
+    def test_oracle_domino_8x8(self, capsys):
+        start = time.perf_counter()
+        argv = ("oracle", "--tiles", "domino", "--width", "8", "--length", "8")
+        assert run_json(capsys, *argv)["count"] == "12988816"
+        assert time.perf_counter() - start < 2.0
+
     def test_automaton_dot_text(self, capsys):
         code, out, _ = run(capsys, "automaton-dot", "--tiles", "domino", "--width", "1")
         assert code == 0
@@ -165,20 +171,21 @@ class TestExitCodes:
         argv = ("faultfree", "--tiles", "tetromino-T", "--width", "6", "--length", "1000000")
         assert run(capsys, *argv)[0] == 3
 
-    def test_oracle_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TESSERAE_MAX_CELLS", "10")
-        assert run(capsys, "oracle", "--tiles", "domino", "--width", "4", "--length", "4")[0] == 1
-        monkeypatch.setenv("TESSERAE_MAX_CELLS", "64")
-        assert run(capsys, "oracle", "--tiles", "domino", "--width", "4", "--length", "4")[0] == 0
-
-    def test_oracle_cap_env_negative(self, capsys, monkeypatch):
-        monkeypatch.setenv("TESSERAE_MAX_CELLS", "-5")
-        argv = ("oracle", "--tiles", "domino", "--width", "1", "--length", "0")
-        assert run(capsys, *argv) == (1, "", "usage error: TESSERAE_MAX_CELLS must be nonnegative\n")
-        # a zero cap admits only empty rectangles
-        monkeypatch.setenv("TESSERAE_MAX_CELLS", "0")
-        assert run_json(capsys, *argv)["count"] == "1"
-        assert run(capsys, "oracle", "--tiles", "domino", "--width", "1", "--length", "2")[0] == 1
+    def test_oracle_past_budget(self, capsys, tmp_path):
+        # the I pentomino and the domino need 723773 partial fillings at 8x8
+        path = tmp_path / "bars.tiles"
+        path.write_text("##\n\n#####\n")
+        src = str(Path(tesserae.__file__).resolve().parents[1])
+        argv = ["oracle", "--tiles", str(path), "--width", "8", "--length", "8"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "tesserae.cli", *argv], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+        assert time.perf_counter() - start < 5.0
+        # 72 cells: the budget counts partial fillings, not cells
+        argv = ["oracle", "--tiles", "domino", "--width", "8", "--length", "9"]
+        assert run_json(capsys, *argv)["count"] == "108435745"
 
     def test_bad_beta(self, capsys):
         assert run(capsys, "ising-bound", "--beta", "two")[0] == 1
@@ -215,10 +222,8 @@ class TestExitCodes:
             ("automaton-dot", "--tiles", "monomino", "--width", "1200"),
         ],
     )
-    def test_width_past_budget(self, capsys, monkeypatch, argv):
-        # a recursion per row would overflow the stack: refused before the build,
-        # and the oracle's cell cap cannot lift it
-        monkeypatch.setenv("TESSERAE_MAX_CELLS", "100000")
+    def test_width_past_budget(self, capsys, argv):
+        # a recursion per row would overflow the stack: refused before the build
         start = time.perf_counter()
         code, _, err = run(capsys, *argv)
         assert code == 1
