@@ -1,16 +1,14 @@
-"""Command-line surface: counting, generating functions, entropy bounds."""
+"""Command-line surface: counting, generating functions, entropy bounds.
+
+Each handler imports the modules it runs, so a command compiles only those.
+"""
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
-from pathlib import Path
-
-from . import automaton as am
-from . import gf as gfmod
-from . import ising, poly, spectral
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -21,6 +19,8 @@ EXIT_NO_TILINGS = 3
 # e nonzeros cost L (n + e) (4096 + L b) bit operations, as a count gains at
 # most b = bit_length(largest row weight sum) bits a column, plus 4096 for each
 # multiply-add; one Xeon core (CPython 3.11): domino w16 L39 1.5 s, w12 L578 0.9 s.
+# faultfree pays for strip_gf's sweep, 2 r0 + 2 steps of k columns over every state at most,
+# and for L terms of at most r0 multiply-adds (k, r0: the start's period and class size).
 MAX_SWEEP_WORK = 5 * 10**10
 
 
@@ -33,14 +33,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _tileset(spec: str) -> poly.TileSet:
+def _tileset(spec: str):
+    from . import poly
+
     if spec in poly.PRESETS:
         return poly.preset(spec)
-    path = Path(spec)
-    if not path.is_file():
+    if not os.path.isfile(spec):
         raise poly.TileError(f"{spec!r} is neither a preset nor a tile file")
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(spec, encoding="utf-8-sig") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise poly.TileError(f"cannot read tile file {spec!r}: {exc}") from exc
     return poly.parse_tile_file(text)
@@ -56,17 +58,21 @@ def _check_length(length: int) -> None:
         raise UsageError("--length must be nonnegative")
 
 
-def _check_sweep(auto: am.TransferAutomaton, columns: int) -> None:
-    e = sum(len(out) for out in auto.edges)
+def _check_sweep(auto, columns: int, steps: int | None = None, adds: int | None = None) -> None:
+    # `steps` (default: columns) of `adds` multiply-adds each (default: n + e, one column
+    # over every state), on counts of up to `columns` columns
+    adds = len(auto.states) + sum(len(out) for out in auto.edges) if adds is None else adds
     b = max((sum(w for _, w in out) for out in auto.edges), default=0).bit_length()
-    if columns * (len(auto.states) + e) * (4096 + columns * b) > MAX_SWEEP_WORK:
+    if (columns if steps is None else steps) * adds * (4096 + columns * b) > MAX_SWEEP_WORK:
         raise UsageError(f"{columns} columns exceed the sweep budget at width {auto.width}")
 
 
 def _parse_beta(text: str) -> float:
+    from .ising import BETA_TILING
+
     cleaned = text.replace(" ", "").lower()
     if cleaned in ("ln2/2", "ln(2)/2", "(ln2)/2", "0.5*ln2", "0.5ln2"):
-        return ising.BETA_TILING
+        return BETA_TILING
     try:
         return float(cleaned)
     except ValueError:
@@ -77,16 +83,39 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _count(tiles, width: int, length: int) -> int:
+    from . import automaton as am
+
+    auto = am.build_automaton(tiles, width)
+    _check_sweep(auto, length)
+    return am.count_rect(auto, length)
+
+
 def _cmd_count(args) -> dict:
+    from . import automaton as am, poly
+
     _check_width(args.width), _check_length(args.length)
-    auto = am.build_automaton(_tileset(args.tiles), args.width)
-    _check_sweep(auto, args.length)
-    n = am.count_rect(auto, args.length)
+    tiles, n = _tileset(args.tiles), None
+    if 1 <= args.length < args.width <= am.MAX_WIDTH and any(
+            v.height <= args.width for v in tiles.variants):
+        # length x width with the variants transposed: 0 when none fits in length columns, and
+        # the width side after all when over a budget here, as the transposed reach can be longer
+        flipped = poly.make_tileset([poly.Polyomino(frozenset((c, r) for r, c in v.cells))
+                                     for v in tiles.variants if v.width <= args.length],
+                                    False, False)
+        try:
+            n = _count(flipped, args.length, args.width) if flipped.variants else 0
+        except (am.StateBudgetError, UsageError):
+            pass
+    if n is None:
+        n = _count(tiles, args.width, args.length)
     return {"command": "count", "tiles": args.tiles, "width": args.width,
             "length": args.length, "count": str(n)}
 
 
 def _cmd_series(args) -> dict:
+    from . import automaton as am
+
     _check_width(args.width), _check_length(args.length)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
     _check_sweep(auto, args.length)
@@ -96,6 +125,8 @@ def _cmd_series(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    from . import automaton as am
+
     _check_width(args.width), _check_length(args.length)
     n = am.brute_force_count(_tileset(args.tiles), args.width, args.length)
     return {"command": "oracle", "tiles": args.tiles, "width": args.width,
@@ -103,30 +134,36 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_gf(args) -> dict:
+    from . import automaton as am, gf
+
     _check_width(args.width)
-    auto = am.build_automaton(_tileset(args.tiles), args.width)
-    g = gfmod.strip_gf(auto)
+    g = gf.strip_gf(am.build_automaton(_tileset(args.tiles), args.width))
     return {"command": "gf", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step}
 
 
 def _cmd_faultfree(args) -> dict:
+    from . import automaton as am, gf
+
     _check_width(args.width), _check_length(args.length)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
-    # its terms count blocks of up to length * step columns, step the start's period
-    _check_sweep(auto, args.length * len(gfmod._cyclic_classes(auto)))
-    g = gfmod.faultfree(gfmod.strip_gf(auto))
-    terms = gfmod.expand(g, args.length)
+    classes = gf._cyclic_classes(auto)
+    k, r0 = len(classes), len(classes[0])
+    _check_sweep(auto, k * args.length, args.length, r0)  # the expansion, checked first
+    _check_sweep(auto, k * (2 * r0 + 2), 2 * r0 + 2)  # strip_gf
+    g = gf.faultfree(gf.strip_gf(auto))
+    terms = gf.expand(g, args.length)
     return {"command": "faultfree", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step,
             "terms": [str(t) for t in terms]}
 
 
 def _cmd_entropy(args) -> dict:
+    from . import automaton as am, gf, spectral
+
     _check_width(args.width)
     tiles = _tileset(args.tiles)
-    auto = am.build_automaton(tiles, args.width)
-    g = gfmod.strip_gf(auto)
+    g = gf.strip_gf(am.build_automaton(tiles, args.width))
     report = spectral.strip_entropy(g, args.width)
     try:
         upper = _round12(spectral.entropy_upper(tiles))
@@ -140,11 +177,15 @@ def _cmd_entropy(args) -> dict:
 
 
 def _cmd_upper(args) -> dict:
+    from . import spectral
+
     sigma = spectral.entropy_upper(_tileset(args.tiles))
     return {"command": "upper", "tiles": args.tiles, "sigma_upper": _round12(sigma)}
 
 
 def _cmd_ising(args) -> dict:
+    from . import ising
+
     beta = ising.BETA_TILING if args.beta is None else _parse_beta(args.beta)
     if beta == ising.BETA_TILING:
         bound = ising.t_tetromino_bound(args.grid)
@@ -158,6 +199,8 @@ def _cmd_ising(args) -> dict:
 
 
 def _cmd_fylfot(args) -> dict:
+    from . import ising
+
     _check_width(args.width)
     if args.length < 1:
         raise UsageError("--length must be at least 1")
@@ -168,6 +211,8 @@ def _cmd_fylfot(args) -> dict:
 
 
 def _cmd_dot(args) -> dict:
+    from . import automaton as am
+
     _check_width(args.width)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
     return {"command": "automaton-dot", "tiles": args.tiles, "width": args.width,
@@ -236,6 +281,8 @@ def build_parser(argv=None) -> _Parser:
 
 
 def render_json(report: dict) -> str:
+    import json
+
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -252,6 +299,22 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ValueErrors with an exit code of their own: (module, class, exit code, label).  Only
+# loaded modules are looked in, as a module not loaded has raised nothing.
+_FAILURES = (
+    ("poly", "TileError", EXIT_BAD_TILES, "tile error"),
+    ("automaton", "AutomatonError", EXIT_BAD_TILES, "tile error"),
+    ("gf", "NoTilingsError", EXIT_NO_TILINGS, "no tilings"),
+)
+
+
+def _failure(exc: ValueError) -> tuple[int, str]:
+    for module, name, code, label in _FAILURES:  # isinstance(exc, ()) is False
+        if isinstance(exc, getattr(sys.modules.get(f"{__package__}.{module}"), name, ())):
+            return code, label
+    return EXIT_USAGE, "error"  # budgets, recurrence, spectral and Ising errors
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -262,15 +325,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (poly.TileError, am.AutomatonError) as exc:
-        print(f"tile error: {exc}", file=sys.stderr)
-        return EXIT_BAD_TILES
-    except gfmod.NoTilingsError as exc:
-        print(f"no tilings: {exc}", file=sys.stderr)
-        return EXIT_NO_TILINGS
-    except ValueError as exc:  # budgets, recurrence, spectral and Ising errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        code, label = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     sys.stdout.write(render_json(report) if args.json else render_text(report))
     return EXIT_OK
 

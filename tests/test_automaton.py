@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import json
 import time
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from tesserae import (
     trim_reachable,
 )
 from tesserae.automaton import MAX_STATES, MAX_WIDTH
+from tesserae.cli import main
 from tesserae.poly import PRESETS
 
 PRESET_NAMES = ["monomino", "domino", "tromino-right", "tetromino-L", "tetromino-T"]
@@ -474,3 +478,28 @@ def test_automaton_matches_oracle_on_random_tile_sets(shapes, symmetry, width):
     assert counts[0] == 1
     for length, count in enumerate(counts[1:], start=1):
         assert brute_force_count(tiles, width, length) == count, (text, width, length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(GROWTH, min_size=1, max_size=2),
+    symmetry=st.sampled_from(["all", "rotations", "none"]),
+    sides=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+)
+def test_count_matches_oracle_either_way_round(tmp_path_factory, shapes, symmetry, sides):
+    # the count command sweeps the shorter side: it must agree with the oracle both ways
+    text = f"@symmetry: {symmetry}\n" + "\n\n".join(map(_grid, shapes))
+    tiles = parse_tile_file(text)
+    path = tmp_path_factory.getbasetemp() / "random.tiles"
+    path.write_text(text)
+    for width, length in (sides, sides[::-1]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["count", "--tiles", str(path), "--width", str(width),
+                         "--length", str(length), "--json"])
+        if all(v.height > width for v in tiles.variants):
+            assert code == 2
+        else:
+            assert code == 0, (text, width, length)
+            count = brute_force_count(tiles, width, length)
+            assert json.loads(out.getvalue())["count"] == str(count), (text, width, length)

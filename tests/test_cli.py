@@ -10,6 +10,8 @@ import pytest
 import tesserae
 from tesserae.cli import UsageError, build_parser, main, render_json
 
+SRC = str(Path(tesserae.__file__).resolve().parents[1])
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -98,6 +100,35 @@ class TestCommands:
         assert "count: 5" in out
 
 
+class TestCountOnTheShortSide:
+    @pytest.mark.parametrize("tiles, width, length, count", [
+        ("domino", 20, 2, "10946"),  # 184756 states at width 20, past MAX_STATES
+        ("tetromino-L", 12, 4, "3432"),
+    ])
+    def test_wide_rectangle_counts_as_its_transpose(self, capsys, tiles, width, length, count):
+        for w, n in ((width, length), (length, width)):
+            argv = ("count", "--tiles", tiles, "--width", str(w), "--length", str(n))
+            assert run_json(capsys, *argv)["count"] == count
+
+    def test_no_variant_fits_the_short_side(self, capsys):
+        argv = ("count", "--tiles", "tetromino-L", "--width", "5", "--length", "1")
+        assert run_json(capsys, *argv)["count"] == "0"
+
+    def test_no_variant_fits_the_width(self, capsys, tmp_path):
+        path = tmp_path / "bar.tiles"
+        path.write_text("@symmetry: none\n#\n#\n#\n#\n#\n")
+        assert run(capsys, "count", "--tiles", str(path), "--width", "3", "--length", "2") == (
+            2, "", "tile error: no tile variant fits in a strip of width 3\n")
+
+    def test_short_side_over_budget_falls_back_to_the_width(self, capsys, tmp_path):
+        # upright, the 8-bar and the monomino have reach 0; transposed, reach 7 at width 10
+        # is past MAX_STATES.  Each column has 6 tilings (12 = 1 + ... + 1, or an 8-bar + 4 ones)
+        path = tmp_path / "bars.tiles"
+        path.write_text("@symmetry: none\n" + "#\n" * 8 + "\n#\n")
+        argv = ("count", "--tiles", str(path), "--width", "12", "--length", "10")
+        assert run_json(capsys, *argv)["count"] == str(6**10)
+
+
 class TestTileFiles:
     def test_tile_file_path(self, capsys, tmp_path):
         path = tmp_path / "ell.tiles"
@@ -175,10 +206,9 @@ class TestExitCodes:
         # the I pentomino and the domino need 723773 partial fillings at 8x8
         path = tmp_path / "bars.tiles"
         path.write_text("##\n\n#####\n")
-        src = str(Path(tesserae.__file__).resolve().parents[1])
         argv = ["oracle", "--tiles", str(path), "--width", "8", "--length", "8"]
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "tesserae.cli", *argv], cwd=src,
+        proc = subprocess.run([sys.executable, "-m", "tesserae.cli", *argv], cwd=SRC,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
         assert "budget" in proc.stderr and "Traceback" not in proc.stderr
@@ -204,8 +234,9 @@ class TestExitCodes:
 
     def test_states_past_budget(self, capsys):
         # 184756 states in all; the build stops at the budget, well short of them
+        # (series always builds on --width; count would sweep the 2-row side)
         start = time.perf_counter()
-        code, _, err = run(capsys, "count", "--tiles", "domino", "--width", "20", "--length", "2")
+        code, _, err = run(capsys, "series", "--tiles", "domino", "--width", "20", "--length", "2")
         assert code == 1
         assert "states" in err
         assert time.perf_counter() - start < 5.0
@@ -231,9 +262,8 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
 
     def test_width_past_budget_no_traceback(self):
-        src = str(Path(tesserae.__file__).resolve().parents[1])
         argv = ["count", "--tiles", "monomino", "--width", "1200", "--length", "1"]
-        proc = subprocess.run([sys.executable, "-m", "tesserae.cli", *argv], cwd=src,
+        proc = subprocess.run([sys.executable, "-m", "tesserae.cli", *argv], cwd=SRC,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
         assert "budget" in proc.stderr and "Traceback" not in proc.stderr
@@ -255,6 +285,20 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "budget" in err
+        assert time.perf_counter() - start < 2.0
+
+    def test_faultfree_prices_its_expansion(self, capsys):
+        # 5000 terms against a degree-14 denominator, once refused as a 5000-column sweep
+        argv = ("faultfree", "--tiles", "domino", "--width", "8", "--length", "5000")
+        auto = tesserae.build_automaton(tesserae.preset("domino"), 8)
+        g = tesserae.faultfree(tesserae.strip_gf(auto))
+        assert run_json(capsys, *argv)["terms"] == [str(t) for t in tesserae.expand(g, 5000)]
+
+    def test_faultfree_prices_the_bound_of_strip_gf(self, capsys):
+        # strip_gf takes over 90 s on L w8, whose 2 r0 + 2 steps bound 1180 columns
+        start = time.perf_counter()
+        assert run(capsys, "faultfree", "--tiles", "tetromino-L", "--width", "8") == (
+            1, "", "usage error: 1180 columns exceed the sweep budget at width 8\n")
         assert time.perf_counter() - start < 2.0
 
 
@@ -329,10 +373,57 @@ class TestSurface:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    src = str(Path(tesserae.__file__).resolve().parents[1])
     code = "import sys; import tesserae.cli; sys.exit('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, timeout=60)
     assert proc.returncode == 0
+
+
+COMPUTE = ("poly", "automaton", "gf", "spectral", "ising")
+
+
+def loaded_after(code: str) -> set[str]:
+    """The tesserae submodules and dataclasses, json and pathlib loaded once code has run
+    in a fresh interpreter started with -S, so that site preloads nothing."""
+    watched = [f"tesserae.{m}" for m in COMPUTE] + ["dataclasses", "json", "pathlib"]
+    script = (f"import sys; sys.path.insert(0, {SRC!r})\n{code}\n"
+              f"print('loaded:', *[m for m in {watched!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split()[1:])
+
+
+def test_parser_loads_no_compute_module():
+    assert loaded_after("import tesserae.cli; tesserae.cli.build_parser()") == set()
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["fylfot", "--width", "2", "--length", "2", "--json"], 0),
+    (["fylfot", "--width", "2", "--length", "0"], 1),
+])
+def test_fylfot_loads_no_tiling_module(argv, status):
+    loaded = loaded_after(f"import tesserae.cli as c; assert c.main({argv!r}) == {status}")
+    assert not loaded & {f"tesserae.{m}" for m in ("poly", "automaton", "gf", "spectral")}
+
+
+def test_gf_loads_neither_ising_nor_spectral():
+    loaded = loaded_after("import tesserae.cli as c\n"
+                          "assert c.main(['gf', '--tiles', 'domino', '--width', '2']) == 0")
+    assert "tesserae.gf" in loaded and not loaded & {"tesserae.ising", "tesserae.spectral"}
+
+
+def test_package_names_resolve_on_first_use():
+    code = """
+import tesserae
+assert not [m for m in sys.modules if m.startswith("tesserae.")]
+assert set(tesserae.__all__) <= set(dir(tesserae))
+star = {}
+exec("from tesserae import *", star)
+for name in tesserae.__all__:
+    assert star[name] is getattr(tesserae, name) is not None, name
+assert star["series"] is tesserae.automaton.series and tesserae.ising.MAX_GRID
+"""
+    assert loaded_after(code) >= {f"tesserae.{m}" for m in COMPUTE}
 
 
 # SHA-256 of the --json reports, recorded before the gf layer became
