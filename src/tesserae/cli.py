@@ -23,6 +23,12 @@ EXIT_NO_TILINGS = 3
 # and for L terms of at most r0 multiply-adds (k, r0: the start's period and class size).
 MAX_SWEEP_WORK = 5 * 10**10
 
+# output budget: the sum of squared digits of the counts a command prints, as CPython's
+# int -> str is quadratic, about 1.8e-11 s per squared digit on one Xeon core (CPython
+# 3.11): faultfree domino w8 L5000 (2.6e10) 0.42 s, tromino-right w4 L8000 (1.0e11) 1.8 s,
+# series domino w2 L20000 (1.16e11) 2.0 s; L30000 (3.9e11) would take 7.1 s.
+MAX_DIGITS_WORK = 15 * 10**10
+
 
 class UsageError(Exception):
     pass
@@ -48,16 +54,6 @@ def _tileset(spec: str):
     return poly.parse_tile_file(text)
 
 
-def _check_width(width: int) -> None:
-    if width < 1:
-        raise UsageError("--width must be at least 1")
-
-
-def _check_length(length: int) -> None:
-    if length < 0:
-        raise UsageError("--length must be nonnegative")
-
-
 def _check_sweep(auto, columns: int, steps: int | None = None, adds: int | None = None) -> None:
     # `steps` (default: columns) of `adds` multiply-adds each (default: n + e, one column
     # over every state), on counts of up to `columns` columns
@@ -65,6 +61,23 @@ def _check_sweep(auto, columns: int, steps: int | None = None, adds: int | None 
     b = max((sum(w for _, w in out) for out in auto.edges), default=0).bit_length()
     if (columns if steps is None else steps) * adds * (4096 + columns * b) > MAX_SWEEP_WORK:
         raise UsageError(f"{columns} columns exceed the sweep budget at width {auto.width}")
+
+
+def _decimal(*counts: int) -> list[str]:
+    """The counts in decimal at any length, priced first from their bit lengths."""
+    digits = [n.bit_length() * 0.30103 for n in counts]  # log10(2) digits a bit
+    if sum(d * d for d in digits) > MAX_DIGITS_WORK:
+        raise UsageError(f"{len(counts)} counts of up to {math.ceil(max(digits))} digits "
+                         "exceed the output budget")
+    # lift CPython's 4300-digit cap for this conversion only (none before 3.10.7)
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        return [str(n) for n in counts]
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _parse_beta(text: str) -> float:
@@ -79,10 +92,6 @@ def _parse_beta(text: str) -> float:
         raise UsageError(f"cannot parse --beta {text!r}") from None
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _count(tiles, width: int, length: int) -> int:
     from . import automaton as am
 
@@ -94,7 +103,6 @@ def _count(tiles, width: int, length: int) -> int:
 def _cmd_count(args) -> dict:
     from . import automaton as am, poly
 
-    _check_width(args.width), _check_length(args.length)
     tiles, n = _tileset(args.tiles), None
     if 1 <= args.length < args.width <= am.MAX_WIDTH and any(
             v.height <= args.width for v in tiles.variants):
@@ -110,33 +118,30 @@ def _cmd_count(args) -> dict:
     if n is None:
         n = _count(tiles, args.width, args.length)
     return {"command": "count", "tiles": args.tiles, "width": args.width,
-            "length": args.length, "count": str(n)}
+            "length": args.length, "count": _decimal(n)[0]}
 
 
 def _cmd_series(args) -> dict:
     from . import automaton as am
 
-    _check_width(args.width), _check_length(args.length)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
     _check_sweep(auto, args.length)
     s = am.series(auto, args.length)
     return {"command": "series", "tiles": args.tiles, "width": args.width,
-            "length": args.length, "series": [str(t) for t in s.terms]}
+            "length": args.length, "series": _decimal(*s.terms)}
 
 
 def _cmd_oracle(args) -> dict:
     from . import automaton as am
 
-    _check_width(args.width), _check_length(args.length)
     n = am.brute_force_count(_tileset(args.tiles), args.width, args.length)
     return {"command": "oracle", "tiles": args.tiles, "width": args.width,
-            "length": args.length, "count": str(n)}
+            "length": args.length, "count": _decimal(n)[0]}
 
 
 def _cmd_gf(args) -> dict:
     from . import automaton as am, gf
 
-    _check_width(args.width)
     g = gf.strip_gf(am.build_automaton(_tileset(args.tiles), args.width))
     return {"command": "gf", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step}
@@ -145,7 +150,6 @@ def _cmd_gf(args) -> dict:
 def _cmd_faultfree(args) -> dict:
     from . import automaton as am, gf
 
-    _check_width(args.width), _check_length(args.length)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
     classes = gf._cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])
@@ -155,112 +159,85 @@ def _cmd_faultfree(args) -> dict:
     terms = gf.expand(g, args.length)
     return {"command": "faultfree", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step,
-            "terms": [str(t) for t in terms]}
+            "terms": _decimal(*terms)}
 
 
 def _cmd_entropy(args) -> dict:
     from . import automaton as am, gf, spectral
 
-    _check_width(args.width)
     tiles = _tileset(args.tiles)
     g = gf.strip_gf(am.build_automaton(tiles, args.width))
     report = spectral.strip_entropy(g, args.width)
     try:
-        upper = _round12(spectral.entropy_upper(tiles))
+        upper = spectral.entropy_upper(tiles)
     except spectral.SpectralError:
         upper = None  # mixed tile areas: the scanning bound is undefined
     return {"command": "entropy", "tiles": args.tiles, "width": args.width,
-            "step": g.step, "lambda": _round12(report.lambda_),
-            "sites_per_step": report.sites_per_step,
-            "sigma_lower": _round12(report.sigma_lower), "sigma_upper": upper,
-            "residual": _round12(report.residual)}
+            "step": g.step, "lambda": report.lambda_, "sites_per_step": report.sites_per_step,
+            "sigma_lower": report.sigma_lower, "sigma_upper": upper, "residual": report.residual}
 
 
 def _cmd_upper(args) -> dict:
     from . import spectral
 
     sigma = spectral.entropy_upper(_tileset(args.tiles))
-    return {"command": "upper", "tiles": args.tiles, "sigma_upper": _round12(sigma)}
+    return {"command": "upper", "tiles": args.tiles, "sigma_upper": sigma}
 
 
 def _cmd_ising(args) -> dict:
     from . import ising
 
-    beta = ising.BETA_TILING if args.beta is None else _parse_beta(args.beta)
+    beta = _parse_beta(args.beta)
     if beta == ising.BETA_TILING:
         bound = ising.t_tetromino_bound(args.grid)
-        sigma, lower, err = bound.sigma_ising, _round12(bound.sigma_lower), bound.err_estimate
+        sigma, lower, err = bound.sigma_ising, bound.sigma_lower, bound.err_estimate
     else:  # no estimate at grid 64, whose half grid is below the smallest one
         sigma, err = ising.onsager_estimate(beta, args.grid)
         lower, err = None, err if args.grid >= 128 else None
-    return {"command": "ising-bound", "beta": _round12(beta), "grid": args.grid,
-            "sigma_ising": _round12(sigma), "sigma_lower": lower,
-            "err_estimate": None if err is None else _round12(err)}
+    return {"command": "ising-bound", "beta": beta, "grid": args.grid,
+            "sigma_ising": sigma, "sigma_lower": lower, "err_estimate": err}
 
 
 def _cmd_fylfot(args) -> dict:
     from . import ising
 
-    _check_width(args.width)
-    if args.length < 1:
-        raise UsageError("--length must be at least 1")
     total = ising.fylfot_sum(args.width, args.length)
     return {"command": "fylfot", "rows": args.width, "cols": args.length,
-            "sum": str(total),
-            "per_site_bound": _round12(math.log(total) / (16 * args.width * args.length))}
+            "sum": _decimal(total)[0],
+            "per_site_bound": math.log(total) / (16 * args.width * args.length)}
 
 
 def _cmd_dot(args) -> dict:
     from . import automaton as am
 
-    _check_width(args.width)
     auto = am.build_automaton(_tileset(args.tiles), args.width)
     return {"command": "automaton-dot", "tiles": args.tiles, "width": args.width,
             "states": len(auto.states), "dot": am.to_dot(auto)}
 
 
-def _add_tiles(p: _Parser) -> None:
-    p.add_argument("--tiles", required=True, help="preset name or tile file path")
+# An argument: (flag, help line, default or None when required, type, least value or None).
+# main refuses a value below its least one, in declared order, before the handler runs.
+_TILES = ("--tiles", "preset name or tile file path", None, str, None)
+_STRIP = (_TILES, ("--width", "strip width (rows)", None, int, 1))
+_RECT = (*_STRIP, ("--length", "rectangle length (columns)", None, int, 0))
 
-
-def _add_strip(p: _Parser) -> None:
-    _add_tiles(p)
-    p.add_argument("--width", type=int, required=True, help="strip width (rows)")
-
-
-def _add_rect(p: _Parser) -> None:
-    _add_strip(p)
-    p.add_argument("--length", type=int, required=True, help="rectangle length (columns)")
-
-
-def _add_faultfree(p: _Parser) -> None:
-    _add_strip(p)
-    p.add_argument("--length", type=int, default=10, help="number of expansion steps")
-
-
-def _add_ising(p: _Parser) -> None:
-    p.add_argument("--beta", default=None, help='inverse temperature: "ln2/2" or a decimal')
-    p.add_argument("--grid", type=int, default=1024, help="quadrature nodes per axis (power of two)")
-
-
-def _add_fylfot(p: _Parser) -> None:
-    p.add_argument("--width", type=int, required=True, help="fylfot lattice rows")
-    p.add_argument("--length", type=int, required=True, help="fylfot lattice columns")
-
-
-# name -> (handler, help line, argument adder), in --help order
+# name -> (handler, help line, arguments), in --help order
 _COMMANDS = {
-    "count": (_cmd_count, "tilings of one rectangle", _add_rect),
-    "series": (_cmd_series, "tiling counts for every length 0..L", _add_rect),
-    "oracle": (_cmd_oracle, "brute-force recount of one rectangle", _add_rect),
-    "gf": (_cmd_gf, "rational generating function of a strip", _add_strip),
+    "count": (_cmd_count, "tilings of one rectangle", _RECT),
+    "series": (_cmd_series, "tiling counts for every length 0..L", _RECT),
+    "oracle": (_cmd_oracle, "brute-force recount of one rectangle", _RECT),
+    "gf": (_cmd_gf, "rational generating function of a strip", _STRIP),
     "faultfree": (_cmd_faultfree, "fault-free block generating function and counts",
-                  _add_faultfree),
-    "entropy": (_cmd_entropy, "entropy bounds for a strip width", _add_strip),
-    "upper": (_cmd_upper, "scanning upper bound for plane tilings", _add_tiles),
-    "ising-bound": (_cmd_ising, "Ising-model entropy bound for the T tetromino", _add_ising),
-    "fylfot": (_cmd_fylfot, "exact fylfot-lattice weighted sum", _add_fylfot),
-    "automaton-dot": (_cmd_dot, "transfer automaton as a DOT digraph", _add_strip),
+                  (*_STRIP, ("--length", "number of expansion steps", 10, int, 0))),
+    "entropy": (_cmd_entropy, "entropy bounds for a strip width", _STRIP),
+    "upper": (_cmd_upper, "scanning upper bound for plane tilings", (_TILES,)),
+    "ising-bound": (_cmd_ising, "Ising-model entropy bound for the T tetromino", (
+        ("--beta", 'inverse temperature: "ln2/2" or a decimal', "ln2/2", str, None),
+        ("--grid", "quadrature nodes per axis (power of two)", 1024, int, None))),
+    "fylfot": (_cmd_fylfot, "exact fylfot-lattice weighted sum", (
+        ("--width", "fylfot lattice rows", None, int, 1),
+        ("--length", "fylfot lattice columns", None, int, 1))),
+    "automaton-dot": (_cmd_dot, "transfer automaton as a DOT digraph", _STRIP),
 }
 
 
@@ -273,16 +250,20 @@ def build_parser(argv=None) -> _Parser:
     )
     sub = top.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
     for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
-        _, help_text, add_arguments = _COMMANDS[name]
+        _, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        add_arguments(p)
+        for flag, help_line, default, kind, _ in arguments:
+            p.add_argument(flag, type=kind, default=default, required=default is None,
+                           help=help_line)
     return top
 
 
 def render_json(report: dict) -> str:
     import json
 
+    # floats to 12 significant digits, the digits render_text prints
+    report = {k: float(f"{v:.12g}") if isinstance(v, float) else v for k, v in report.items()}
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -321,7 +302,12 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         if not args.command:
             raise UsageError("a command is required (try --help)")
-        report = _COMMANDS[args.command][0](args)
+        handler, _, arguments = _COMMANDS[args.command]
+        for flag, _, _, _, least in arguments:
+            if least is not None and getattr(args, flag[2:]) < least:
+                bound = "nonnegative" if least == 0 else f"at least {least}"
+                raise UsageError(f"{flag} must be {bound}")
+        report = handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

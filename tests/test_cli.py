@@ -170,6 +170,18 @@ class TestTileFiles:
         assert run(capsys, *argv) == plain
         assert plain[0] == 0
 
+    def test_mixed_areas_have_no_scanning_bound(self, capsys, tmp_path):
+        path = tmp_path / "mixed.tiles"
+        path.write_text("##\n\n#\n")
+        argv = ("entropy", "--tiles", str(path), "--width", "2")
+        report = run_json(capsys, *argv)
+        assert (report["sigma_upper"], report["lambda"], report["sigma_lower"]) == (
+            None, 3.21431974338, 0.583807873464)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "\nsigma_upper: None\n" in out
+        assert run(capsys, "upper", "--tiles", str(path)) == (
+            1, "", "error: scanning bound requires all variants to share one area\n")
+
     def test_tile_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "binary.tiles"
         path.write_bytes(b"\xff\xfe#\n")
@@ -302,6 +314,29 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
 
 
+class TestLongCounts:
+    def test_count_past_the_4300_digit_conversion_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        argv = ("count", "--tiles", "domino", "--width", "2", "--length", "21000")
+        count = run_json(capsys, *argv)["count"]
+        assert (len(count), count[-12:]) == (4389, "882974286001")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_faultfree_past_the_4300_digit_conversion_limit(self, capsys):
+        argv = ("faultfree", "--tiles", "tromino-right", "--width", "4", "--length", "8000")
+        assert len(run_json(capsys, *argv)["terms"][-1]) == 6224
+
+    def test_output_past_budget(self):
+        # the sweep is inside its budget; converting the counts would take minutes
+        argv = ["series", "--tiles", "domino", "--width", "2", "--length", "69000"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "tesserae.cli", *argv], cwd=SRC,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+        assert time.perf_counter() - start < 2.0
+
+
 COMMANDS = ("count", "series", "oracle", "gf", "faultfree", "entropy", "upper",
             "ising-bound", "fylfot", "automaton-dot")
 CHOICES = ", ".join(repr(c) for c in COMMANDS)
@@ -353,6 +388,17 @@ class TestSurface:
             ("gf --tiles domino", "the following arguments are required: --width"),
             ("gf --tiles domino --width x", "argument --width: invalid int value: 'x'"),
             ("gf gf --tiles domino --width 2", "unrecognized arguments: gf"),
+            *[(f"{c} --tiles domino --width 0 --length 2", "--width must be at least 1")
+              for c in ("count", "series", "oracle", "faultfree")],
+            *[(f"{c} --tiles domino --width 0", "--width must be at least 1")
+              for c in ("gf", "entropy", "automaton-dot")],
+            ("fylfot --width 0 --length 2", "--width must be at least 1"),
+            *[(f"{c} --tiles domino --width 2 --length -1", "--length must be nonnegative")
+              for c in ("count", "series", "oracle", "faultfree")],
+            ("fylfot --width 2 --length 0", "--length must be at least 1"),
+            # bounds are checked in declared order, before the tiles are read
+            ("count --tiles nope --width 0 --length -1", "--width must be at least 1"),
+            ("count --tiles nope --width 2 --length -1", "--length must be nonnegative"),
         ],
     )
     def test_usage_errors_pinned(self, capsys, argv, message):
@@ -424,6 +470,48 @@ for name in tesserae.__all__:
 assert star["series"] is tesserae.automaton.series and tesserae.ising.MAX_GRID
 """
     assert loaded_after(code) >= {f"tesserae.{m}" for m in COMPUTE}
+
+
+# SHA-256 of the text output of each README reference command, recorded while every
+# handler rounded its own floats
+README_TEXT_DIGESTS = {
+    "series --tiles tromino-right --width 4 --length 30":
+        "9c0a42d8b0c4dd9cbac1f93408df400eb563cc329f2af3e761515ff6c01d8de1",
+    "gf --tiles tromino-right --width 4":
+        "9460b47e4c055c77a3cbc523b004954ecc78759b8b11ccaeb77f78c7061c662f",
+    "faultfree --tiles tromino-right --width 4 --length 6":
+        "85cae834b443b2f4c04d82a051dd9e5e3b3d7abdc0e3179c7229cbce3ee5bd0b",
+    "series --tiles tromino-right --width 5 --length 30":
+        "8335c76d76231d294da83aed14c1e31970da23f2b18e923e289e221b2241b66f",
+    "entropy --tiles tromino-right --width 5":
+        "bf3f1ecdfa4ebd16d2d714d022098041a035f93db292fda242a2822aadd3407d",
+    "entropy --tiles tetromino-L --width 4":
+        "c5e08cf41198b50ab064de63917b0c627618b2f5221a2ae0f50b0d1d57c03b41",
+    "faultfree --tiles tetromino-L --width 4":
+        "140b55fd2ec9f72d883b8596c655f49d7543116ec84cc28523f4f0b96fb855dc",
+    "gf --tiles tetromino-T --width 4":
+        "a68578033a1599669c6d98c09285a203358423b3bd18c66f4dbe9dc84f537ead",
+    "entropy --tiles tetromino-T --width 4":
+        "165375533eaead05daf826878f5c40a14a30a2e3b0d26d2dfe410baf0f0c0148",
+    "count --tiles tetromino-T --width 6 --length 8":
+        "3365327559e7a3e1b1e77117339c15d22c426f334bc35fca7407e76325292062",
+    "upper --tiles tromino-right":
+        "4c7b8df806ddd31f717c8f1a9d3e29c8c3f9df0024d18a0c76d127b6d408bef2",
+    "upper --tiles tetromino-L":
+        "a07d7075e6b88ba51df5919cee000465f1ece07a0cf44106dd7c8ad0c01dea9e",
+    "upper --tiles tetromino-T":
+        "01e28a70a4e5bf939c197c9522f062acfa9614edd3f620a1de4002873ed85355",
+    "ising-bound": "f927d4a249c18ba2d403fc76ac1096010b4059886b212195f26aa22c8ad7c592",
+    "fylfot --width 2 --length 2":
+        "9463533d0c0f3e6a11f2acede62a0b9d91e9c59ad20da798c509d4f25370ae50",
+}
+
+
+@pytest.mark.parametrize("argv", README_TEXT_DIGESTS)
+def test_readme_text_reports_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == README_TEXT_DIGESTS[argv]
 
 
 # SHA-256 of the --json reports, recorded before the gf layer became
