@@ -9,7 +9,9 @@ powers of a nonnegative integer matrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import cycle, islice
 from math import gcd
 
 from .poly import TileSet
@@ -133,33 +135,35 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     return trim_reachable(TransferAutomaton(width, reach, tuple(profiles), tuple(edges)))
 
 
-def _apply(edges: tuple[tuple[tuple[int, int], ...], ...], vec: list[int],
-           sources: list[int] | None = None) -> list[int]:
-    # one column step, vec A; sources, when given, holds every i with vec[i] != 0
-    out = [0] * len(vec)
-    for i in range(len(vec)) if sources is None else sources:
-        v = vec[i]
-        if v:
-            for j, w in edges[i]:
-                out[j] += v if w == 1 else v * w  # nearly every w is 1: no big product
-    return out
+def _sweep(a: TransferAutomaton, classes: list) -> Iterator[list[int]]:
+    # e0 A^t for t = 0, 1, ...; column t steps from the states in classes[t % len(classes)]
+    # only, which must hold every i with a nonzero entry
+    edges, n = a.edges, len(a.states)
+    x = [1] + [0] * (n - 1)
+    for sources in cycle(classes):
+        yield x
+        out = [0] * n
+        for i in sources:
+            v = x[i]
+            if v:
+                for j, w in edges[i]:
+                    out[j] += v if w == 1 else v * w  # nearly every w is 1: no big product
+        x = out
 
 
 def count_rect(a: TransferAutomaton, length: int) -> int:
-    """Exact number of tilings of the width x length rectangle."""
-    return series(a, length).terms[-1]
+    """Exact number of tilings of the width x length rectangle, from one column vector."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    return next(islice(_sweep(a, [range(len(a.states))]), length, None))[0]
 
 
 def series(a: TransferAutomaton, length: int) -> CountSeries:
     """Counts N(0..length) from one iterated sparse matrix-vector sweep."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    vec = [1] + [0] * (len(a.states) - 1)
-    terms = [1]
-    for _ in range(length):
-        vec = _apply(a.edges, vec)
-        terms.append(vec[0])
-    return CountSeries(width=a.width, terms=tuple(terms))
+    sweep = islice(_sweep(a, [range(len(a.states))]), length + 1)
+    return CountSeries(width=a.width, terms=tuple(x[0] for x in sweep))
 
 
 def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:

@@ -1,6 +1,7 @@
 """Command-line surface: counting, generating functions, entropy bounds.
 
-Each handler imports the modules it runs, so a command compiles only those.
+Handlers reach the library as tesserae.<module>.<name>: the package imports
+each submodule on its first read, so a command compiles only the modules it runs.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ import argparse
 import math
 import os
 import sys
+
+import tesserae
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,18 +43,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tileset(spec: str):
-    from . import poly
-
-    if spec in poly.PRESETS:
-        return poly.preset(spec)
+    if spec in tesserae.poly.PRESETS:
+        return tesserae.poly.preset(spec)
     if not os.path.isfile(spec):
-        raise poly.TileError(f"{spec!r} is neither a preset nor a tile file")
+        raise tesserae.poly.TileError(f"{spec!r} is neither a preset nor a tile file")
     try:
         with open(spec, encoding="utf-8-sig") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise poly.TileError(f"cannot read tile file {spec!r}: {exc}") from exc
-    return poly.parse_tile_file(text)
+        raise tesserae.poly.TileError(f"cannot read tile file {spec!r}: {exc}") from exc
+    return tesserae.poly.parse_tile_file(text)
 
 
 def _check_sweep(auto, columns: int, steps: int | None = None, adds: int | None = None) -> None:
@@ -81,11 +82,9 @@ def _decimal(*counts: int) -> list[str]:
 
 
 def _parse_beta(text: str) -> float:
-    from .ising import BETA_TILING
-
     cleaned = text.replace(" ", "").lower()
     if cleaned in ("ln2/2", "ln(2)/2", "(ln2)/2", "0.5*ln2", "0.5ln2"):
-        return BETA_TILING
+        return tesserae.ising.BETA_TILING
     try:
         return float(cleaned)
     except ValueError:
@@ -93,27 +92,23 @@ def _parse_beta(text: str) -> float:
 
 
 def _count(tiles, width: int, length: int) -> int:
-    from . import automaton as am
-
-    auto = am.build_automaton(tiles, width)
+    auto = tesserae.automaton.build_automaton(tiles, width)
     _check_sweep(auto, length)
-    return am.count_rect(auto, length)
+    return tesserae.automaton.count_rect(auto, length)
 
 
 def _cmd_count(args) -> dict:
-    from . import automaton as am, poly
-
     tiles, n = _tileset(args.tiles), None
-    if 1 <= args.length < args.width <= am.MAX_WIDTH and any(
+    if 1 <= args.length < args.width <= tesserae.automaton.MAX_WIDTH and any(
             v.height <= args.width for v in tiles.variants):
         # length x width with the variants transposed: 0 when none fits in length columns, and
         # the width side after all when over a budget here, as the transposed reach can be longer
-        flipped = poly.make_tileset([poly.Polyomino(frozenset((c, r) for r, c in v.cells))
-                                     for v in tiles.variants if v.width <= args.length],
-                                    False, False)
+        flipped = tesserae.poly.make_tileset(
+            [tesserae.poly.Polyomino(frozenset((c, r) for r, c in v.cells))
+             for v in tiles.variants if v.width <= args.length], False, False)
         try:
             n = _count(flipped, args.length, args.width) if flipped.variants else 0
-        except (am.StateBudgetError, UsageError):
+        except (tesserae.automaton.StateBudgetError, UsageError):
             pass
     if n is None:
         n = _count(tiles, args.width, args.length)
@@ -122,55 +117,45 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_series(args) -> dict:
-    from . import automaton as am
-
-    auto = am.build_automaton(_tileset(args.tiles), args.width)
+    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width)
     _check_sweep(auto, args.length)
-    s = am.series(auto, args.length)
+    s = tesserae.automaton.series(auto, args.length)
     return {"command": "series", "tiles": args.tiles, "width": args.width,
             "length": args.length, "series": _decimal(*s.terms)}
 
 
 def _cmd_oracle(args) -> dict:
-    from . import automaton as am
-
-    n = am.brute_force_count(_tileset(args.tiles), args.width, args.length)
+    n = tesserae.automaton.brute_force_count(_tileset(args.tiles), args.width, args.length)
     return {"command": "oracle", "tiles": args.tiles, "width": args.width,
             "length": args.length, "count": _decimal(n)[0]}
 
 
 def _cmd_gf(args) -> dict:
-    from . import automaton as am, gf
-
-    g = gf.strip_gf(am.build_automaton(_tileset(args.tiles), args.width))
+    g = tesserae.gf.strip_gf(tesserae.automaton.build_automaton(_tileset(args.tiles), args.width))
     return {"command": "gf", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step}
 
 
 def _cmd_faultfree(args) -> dict:
-    from . import automaton as am, gf
-
-    auto = am.build_automaton(_tileset(args.tiles), args.width)
-    classes = gf._cyclic_classes(auto)
+    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width)
+    classes = tesserae.gf._cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])
     _check_sweep(auto, k * args.length, args.length, r0)  # the expansion, checked first
     _check_sweep(auto, k * (2 * r0 + 2), 2 * r0 + 2)  # strip_gf
-    g = gf.faultfree(gf.strip_gf(auto))
-    terms = gf.expand(g, args.length)
+    g = tesserae.gf.faultfree(tesserae.gf.strip_gf(auto))
+    terms = tesserae.gf.expand(g, args.length)
     return {"command": "faultfree", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step,
             "terms": _decimal(*terms)}
 
 
 def _cmd_entropy(args) -> dict:
-    from . import automaton as am, gf, spectral
-
     tiles = _tileset(args.tiles)
-    g = gf.strip_gf(am.build_automaton(tiles, args.width))
-    report = spectral.strip_entropy(g, args.width)
+    g = tesserae.gf.strip_gf(tesserae.automaton.build_automaton(tiles, args.width))
+    report = tesserae.spectral.strip_entropy(g, args.width)
     try:
-        upper = spectral.entropy_upper(tiles)
-    except spectral.SpectralError:
+        upper = tesserae.spectral.entropy_upper(tiles)
+    except tesserae.spectral.SpectralError:
         upper = None  # mixed tile areas: the scanning bound is undefined
     return {"command": "entropy", "tiles": args.tiles, "width": args.width,
             "step": g.step, "lambda": report.lambda_, "sites_per_step": report.sites_per_step,
@@ -178,41 +163,33 @@ def _cmd_entropy(args) -> dict:
 
 
 def _cmd_upper(args) -> dict:
-    from . import spectral
-
-    sigma = spectral.entropy_upper(_tileset(args.tiles))
+    sigma = tesserae.spectral.entropy_upper(_tileset(args.tiles))
     return {"command": "upper", "tiles": args.tiles, "sigma_upper": sigma}
 
 
 def _cmd_ising(args) -> dict:
-    from . import ising
-
     beta = _parse_beta(args.beta)
-    if beta == ising.BETA_TILING:
-        bound = ising.t_tetromino_bound(args.grid)
+    if beta == tesserae.ising.BETA_TILING:
+        bound = tesserae.ising.t_tetromino_bound(args.grid)
         sigma, lower, err = bound.sigma_ising, bound.sigma_lower, bound.err_estimate
     else:  # no estimate at grid 64, whose half grid is below the smallest one
-        sigma, err = ising.onsager_estimate(beta, args.grid)
+        sigma, err = tesserae.ising.onsager_estimate(beta, args.grid)
         lower, err = None, err if args.grid >= 128 else None
     return {"command": "ising-bound", "beta": beta, "grid": args.grid,
             "sigma_ising": sigma, "sigma_lower": lower, "err_estimate": err}
 
 
 def _cmd_fylfot(args) -> dict:
-    from . import ising
-
-    total = ising.fylfot_sum(args.width, args.length)
+    total = tesserae.ising.fylfot_sum(args.width, args.length)
     return {"command": "fylfot", "rows": args.width, "cols": args.length,
             "sum": _decimal(total)[0],
             "per_site_bound": math.log(total) / (16 * args.width * args.length)}
 
 
 def _cmd_dot(args) -> dict:
-    from . import automaton as am
-
-    auto = am.build_automaton(_tileset(args.tiles), args.width)
+    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width)
     return {"command": "automaton-dot", "tiles": args.tiles, "width": args.width,
-            "states": len(auto.states), "dot": am.to_dot(auto)}
+            "states": len(auto.states), "dot": tesserae.automaton.to_dot(auto)}
 
 
 # An argument: (flag, help line, default or None when required, type, least value or None).

@@ -7,10 +7,11 @@ Polynomials are tuples of coefficients in ascending powers of z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from operator import mul
 
-from .automaton import TransferAutomaton, _apply, series
+from .automaton import TransferAutomaton, _sweep, series
 
 
 class RecurrenceError(ValueError):
@@ -291,8 +292,8 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
     if r0 < 16:
         a = series(auto, k * (2 * r0 + 1)).terms[::k]
         return recurrence_to_gf(infer_recurrence(a), a, step=k)
-    bm, x, window, checked, since = _Massey(), [1] + [0] * (len(auto.states) - 1), [], None, 0
-    while True:
+    bm, window, checked, since = _Massey(), [], None, 0
+    for x in islice(_sweep(auto, classes), 0, None, k):
         bm.feed(x[0])
         window.append([x[i] for i in classes[0]])
         del window[:-bm.length - 2]
@@ -307,5 +308,3 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
             checked, since = rec, n
             if _vanishes(window, rec.coeffs):
                 return recurrence_to_gf(rec, bm.terms, step=k)
-        for sources in classes:
-            x = _apply(auto.edges, x, sources)

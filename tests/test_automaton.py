@@ -86,7 +86,7 @@ class TestCountRect:
             assert count_rect(build_automaton(preset(name), 2), 0) == 1
 
     def test_negative_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
             count_rect(build_automaton(preset("domino"), 2), -1)
 
 
@@ -196,6 +196,11 @@ class TestOracle:
 
     def test_zero_length(self):
         assert brute_force_count(preset("domino"), 3, 0) == 1
+
+    @pytest.mark.parametrize("width, length", [(0, 3), (2, -1)])
+    def test_empty_or_negative_side(self, width, length):
+        with pytest.raises(ValueError, match="need width >= 1 and length >= 0"):
+            brute_force_count(preset("domino"), width, length)
 
     def test_budget(self):
         # the I pentomino and the domino need 723773 partial fillings at 8x8

@@ -326,6 +326,22 @@ class TestLongCounts:
         argv = ("faultfree", "--tiles", "tromino-right", "--width", "4", "--length", "8000")
         assert len(run_json(capsys, *argv)["terms"][-1]) == 6224
 
+    def test_count_holds_one_column_vector(self):
+        # 230 MB when count kept every term of the series.  A fresh interpreter runs the count
+        # and reads RUSAGE_CHILDREN: here that keeps the largest earlier child, such as the
+        # refusal below, and on Linux a child's RUSAGE_SELF starts from this process's peak
+        code = ("import resource, subprocess, sys; "
+                "status = subprocess.run([sys.executable, '-m', 'tesserae.cli', *sys.argv[1:]]); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr); "
+                "sys.exit(status.returncode)")
+        argv = ["count", "--tiles", "domino", "--width", "2", "--length", "69000", "--json"]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=SRC,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        count = json.loads(proc.stdout)["count"]
+        assert (len(count), count[-12:]) == (14421, "901452654001")
+        assert int(proc.stderr) < 64 * 1024  # KiB
+
     def test_output_past_budget(self):
         # the sweep is inside its budget; converting the counts would take minutes
         argv = ["series", "--tiles", "domino", "--width", "2", "--length", "69000"]
@@ -428,9 +444,9 @@ COMPUTE = ("poly", "automaton", "gf", "spectral", "ising")
 
 
 def loaded_after(code: str) -> set[str]:
-    """The tesserae submodules and dataclasses, json and pathlib loaded once code has run
-    in a fresh interpreter started with -S, so that site preloads nothing."""
-    watched = [f"tesserae.{m}" for m in COMPUTE] + ["dataclasses", "json", "pathlib"]
+    """The tesserae submodules and dataclasses, json, pathlib and numpy loaded once code has
+    run in a fresh interpreter started with -S, so that site preloads nothing."""
+    watched = [f"tesserae.{m}" for m in COMPUTE] + ["dataclasses", "json", "pathlib", "numpy"]
     script = (f"import sys; sys.path.insert(0, {SRC!r})\n{code}\n"
               f"print('loaded:', *[m for m in {watched!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
@@ -456,6 +472,22 @@ def test_gf_loads_neither_ising_nor_spectral():
     loaded = loaded_after("import tesserae.cli as c\n"
                           "assert c.main(['gf', '--tiles', 'domino', '--width', '2']) == 0")
     assert "tesserae.gf" in loaded and not loaded & {"tesserae.ising", "tesserae.spectral"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--tiles", "domino", "--width", "3", "--length", "4"],
+    ["series", "--tiles", "domino", "--width", "3", "--length", "4", "--json"],
+    ["oracle", "--tiles", "domino", "--width", "3", "--length", "4"],
+    ["automaton-dot", "--tiles", "domino", "--width", "3"],
+])
+def test_automaton_commands_load_no_gf_spectral_ising_or_numpy(argv):
+    loaded = loaded_after(f"import tesserae.cli as c; assert c.main({argv!r}) == 0")
+    assert "tesserae.automaton" in loaded
+    assert not loaded & {"tesserae.gf", "tesserae.spectral", "tesserae.ising", "numpy"}
+
+
+def test_package_dir_lists_exports_and_submodules():
+    assert set(tesserae.__all__) | set(COMPUTE) <= set(dir(tesserae))
 
 
 def test_package_names_resolve_on_first_use():

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -23,7 +24,7 @@ from tesserae import (
     strip_gf,
 )
 from tesserae import automaton, gf
-from tesserae.automaton import _apply
+from tesserae.automaton import _sweep
 from tesserae.gf import _cyclic_classes, _Massey, _vanishes
 from tesserae.poly import PRESETS
 
@@ -155,6 +156,10 @@ class TestExpand:
     def test_zero_gf(self):
         assert expand(RationalGF((0,), (1,)), 3) == [0, 0, 0, 0]
 
+    def test_negative_length(self):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            expand(RationalGF((1,), (1, -1)), -1)
+
 
 class TestFaultfree:
     def test_tromino_width4(self):
@@ -189,6 +194,10 @@ class TestFaultfree:
         with pytest.raises(ValueError):
             faultfree(RationalGF((2,), (1, -1)))
 
+    def test_reassembly_requires_zero_constant_term(self):
+        with pytest.raises(ValueError, match="reassembly needs g"):
+            from_faultfree(RationalGF((1,), (1, -1)))
+
     def test_involution(self):
         for g in PAPER_GFS:
             assert from_faultfree(faultfree(g)) == g
@@ -203,6 +212,14 @@ class TestNormalization:
     def test_den_constant_term_one(self):
         with pytest.raises(ValueError):
             RationalGF((1,), (2, -1))
+
+    @pytest.mark.parametrize("args, message", [
+        (((1,), (0, 1)), "denominator needs a nonzero constant term"),
+        (((1,), (1,), 0), "step must be positive"),
+    ])
+    def test_refused_on_construction(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            RationalGF(*args)
 
     def test_coprime_after_operations(self):
         for g in PAPER_GFS:
@@ -369,27 +386,24 @@ def test_strip_gf_matches_r0_path_every_preset_width():
 
 def start_sweep(auto, k, steps):
     # x_t = e0 B^t, B = A^k, for t = 0..steps
-    xs = [[1] + [0] * (len(auto.states) - 1)]
-    for _ in range(steps):
-        x = xs[-1]
-        for _ in range(k):
-            x = _apply(auto.edges, x)
-        xs.append(x)
-    return xs
+    return list(islice(_sweep(auto, [range(len(auto.states))]), 0, k * steps + 1, k))
 
 
 @pytest.fixture
 def column_steps(monkeypatch):
-    # counts calls of _apply: series reaches it through automaton, strip_gf's
-    # sweep through gf
+    # counts the vectors _sweep computes past e0, one a column step: series reaches it
+    # through automaton, strip_gf's sweep through gf
     count = [0]
 
     def counting(*args):
-        count[0] += 1
-        return _apply(*args)
+        sweep = _sweep(*args)
+        yield next(sweep)
+        for x in sweep:
+            count[0] += 1
+            yield x
 
-    monkeypatch.setattr(automaton, "_apply", counting)
-    monkeypatch.setattr(gf, "_apply", counting)
+    monkeypatch.setattr(automaton, "_sweep", counting)
+    monkeypatch.setattr(gf, "_sweep", counting)
     return count
 
 
@@ -422,7 +436,7 @@ def test_annihilator_steps_past_the_order():
     assert _vanishes(xs, rec.coeffs)
 
 
-# column steps (calls of _apply) of strip_gf, and the counts from when it
+# column steps (vectors _sweep computes past e0) of strip_gf, and the counts from when it
 # tried prefixes of 2 d + 2 terms and proved each fit by more B-steps
 APPLY_CALLS = [
     ("domino", 10, 65, 97),

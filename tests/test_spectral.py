@@ -28,6 +28,7 @@ from tesserae import (
     strip_entropy,
     strip_gf,
 )
+from tesserae import spectral
 from tesserae.poly import PRESETS
 from tesserae.spectral import PERRON_TOL
 
@@ -94,6 +95,11 @@ class TestPerron:
         auto = build_automaton(preset("domino"), 2)
         assert abs(perron_root(auto) - GOLDEN_RATIO) < 1e-12
 
+    def test_unsettled_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "PERRON_MAX_ITER", 1)
+        with pytest.raises(SpectralError, match="power iteration did not settle"):
+            perron_root(build_automaton(preset("tromino-right"), 4))
+
     def test_consistency_with_dominant_root(self):
         # perron_root on build_automaton output as it comes, every preset up to
         # width 8: the gf route's growth per column where a strip tiling
@@ -153,6 +159,10 @@ class TestEntropyLower:
     def test_rejects_decay(self):
         with pytest.raises(SpectralError):
             entropy_lower(0.5, 4)
+
+    def test_rejects_no_sites(self):
+        with pytest.raises(SpectralError, match="sites_per_step must be positive"):
+            entropy_lower(2.0, 0)
 
 
 class TestEntropyUpper:
