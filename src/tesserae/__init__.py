@@ -9,12 +9,12 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports here
 _EXPORTS = {
     "automaton": (
-        "AutomatonError CountSeries OracleLimitError StateBudgetError "
+        "AutomatonError CountSeries NoTilingsError OracleLimitError StateBudgetError "
         "TransferAutomaton brute_force_count build_automaton count_rect series "
         "to_dot trim_reachable"
     ).split(),
     "gf": (
-        "LinearRecurrence NoTilingsError RationalGF RecurrenceError expand "
+        "LinearRecurrence RationalGF RecurrenceError expand "
         "faultfree from_faultfree infer_recurrence poly_gcd recurrence_to_gf "
         "strip_gf"
     ).split(),

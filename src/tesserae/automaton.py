@@ -9,10 +9,13 @@ powers of a nonnegative integer matrix.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import cycle, islice
 from math import gcd
+from operator import itemgetter, mul
 
 from .poly import TileSet
 
@@ -29,6 +32,10 @@ class StateBudgetError(ValueError):
     """The automaton for this width would exceed MAX_STATES profiles."""
 
 
+class NoTilingsError(ValueError):
+    """No closed walk returns to the start: every term past n = 0 is zero, so no step exists."""
+
+
 # Checked as each profile is found.  tetromino-L width 9 (23728 states) builds in
 # 0.4 s on one Xeon core (CPython 3.11); domino width 18 would be 48620, 3.3 s, 200 MB.
 MAX_STATES = 25_000
@@ -39,6 +46,9 @@ MAX_WIDTH = 512
 # brute_force_count's memo of partial fillings, checked before each is searched: domino
 # 16x16 fills it in 0.8 s and 44 MB on one Xeon core, the 12 pentominoes (63 variants) in 9 s.
 MAX_ORACLE_STATES = 1 << 18
+# the 14 largest primes below 2^31, for series' recurrence proposer
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
+           2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323)
 
 
 @dataclass(frozen=True)
@@ -151,19 +161,132 @@ def _sweep(a: TransferAutomaton, classes: list) -> Iterator[list[int]]:
         x = out
 
 
+def _cyclic_classes(a: TransferAutomaton) -> list[list[int]]:
+    # class c: the states at BFS level c mod k from the start, state 0, ascending, which a
+    # column step maps into class c + 1.  k is the gcd of level[i] + 1 - level[j] over the
+    # edges from reached states, each BFS tree edge adding 0: for a trimmed automaton, the
+    # gcd of closed-walk lengths
+    level = [0] + [-1] * (len(a.states) - 1)
+    queue, k = [0], 0
+    for i in queue:
+        for j, _ in a.edges[i]:
+            if level[j] < 0:
+                level[j] = level[i] + 1
+                queue.append(j)
+            else:
+                k = gcd(k, level[i] + 1 - level[j])
+        if k == 1:
+            return [list(range(len(a.states)))]
+    if not k:
+        raise NoTilingsError(f"width {a.width} admits no tiling of any positive length")
+    classes = [[] for _ in range(k)]
+    for i, v in enumerate(level):
+        classes[v % k].append(i)
+    return classes
+
+
+def _vanishes(xs: list[list[int]], coeffs: tuple[int, ...]) -> bool:
+    # whether x_t - c1 x_{t-1} - ... - cd x_{t-d} = 0, xs ending at x_t; stops at a nonzero entry
+    rows = xs[len(xs) - len(coeffs) - 1:][::-1]
+    return all(col[0] == sum(map(mul, coeffs, col[1:])) for col in zip(*rows))
+
+
+def _propose(terms: list[int]) -> tuple[int, ...]:
+    # (c1, ..., cL) of the shortest recurrence a[t] = c1 a[t-1] + ... + cL a[t-L], t >= L:
+    # Berlekamp-Massey mod each of _PRIMES, its c = [1, -c1, ..., -cL] lifted by symmetric
+    # CRT until two lifts agree, a prime with another L starting over.  () when 2 L exceeds
+    # the terms, as the recurrence is then not unique, or when the primes run out
+    lift, modulus = [], 1
+    for p in _PRIMES:
+        a, c, b, gap, b_disc = [x % p for x in terms], [1], [1], 1, 1
+        for n in range(len(a)):
+            disc = sum(map(mul, reversed(c), a[n + 1 - len(c):n + 1])) % p
+            if disc:
+                f, nxt = disc * pow(b_disc, -1, p), c + [0] * (gap + len(b) - len(c))
+                for j, y in enumerate(b, gap):
+                    nxt[j] = (nxt[j] - f * y) % p
+                if 2 * len(c) <= n + 2:  # 2 L <= n: L becomes n + 1 - L
+                    b, b_disc, gap = c, disc, 0
+                c = nxt[:max(len(c), n + 3 - len(c))]  # deg c <= L: the cut drops zeros only
+            gap += 1
+        if 2 * len(c) > len(terms) + 2:
+            return ()
+        if len(c) != len(lift):
+            lift, modulus = [0] * len(c), 1
+        inv, m = pow(modulus, -1, p), modulus * p
+        new = [(u + modulus * inv * (v - u) + m // 2) % m - m // 2 for u, v in zip(lift, c)]
+        if new == lift:
+            return tuple(-x for x in lift[1:])
+        lift, modulus = new, m
+    return ()
+
+
+def _sampled(a: TransferAutomaton, classes: list, n: int) -> Iterator[int]:
+    # N(k t) for t = 0..n, k = len(classes), from the sweep x_t = e0 B^t, B = A^k.  At
+    # t = 16, 32, 64, ..., while more is left than swept, a proposed recurrence that holds
+    # on every count so far is proved for good once its residual x_t - c1 x_{t-1} - ...
+    # - cd x_{t-d} is the zero vector, as each later one is this one times a power of B;
+    # later counts then cost d multiply-adds each, where that is cheaper than a sweep step
+    k, start = len(classes), classes[0]
+    sweep = islice(_sweep(a, classes), 0, k * n + 1, k)
+    terms, window, check = [], [], 16
+    for t, x in enumerate(sweep):
+        yield x[0]
+        if 2 * check >= n:  # no checkpoint left with more to come than swept
+            break
+        terms.append(x[0])
+        window = window[-(check // 2):] + [x]  # x_{t-L}..x_t at a checkpoint, as 2 L <= t + 1
+        if t < check:
+            continue
+        check *= 2
+        coeffs = _propose(terms)
+        d = len(coeffs)
+        if 2 * d > sum(map(len, a.edges)):  # costlier than the additions of one sweep step
+            break
+        if d and _vanishes([terms[s:s + t + 1 - d] for s in range(d + 1)], coeffs) and _vanishes(
+                [[y[i] for i in start] for y in window], coeffs):
+            last = deque(terms[t + 1 - d:], maxlen=d)
+            for _ in range(n - t):
+                last.append(sum(map(mul, coeffs, reversed(last))))
+                yield last[-1]
+            return
+    del terms, window  # for count_rect, which then holds one vector at any length
+    yield from map(itemgetter(0), sweep)
+
+
+def _resampled(a: TransferAutomaton, length: int) -> tuple[int, Iterator[int]]:
+    # the length step k and N(k t) for t = 0..length // k; k = 1, every state stepped, when
+    # no closed walk passes the start or below 33 columns, where no checkpoint is reached
+    classes = [range(len(a.states))]
+    if length > 32:
+        with suppress(NoTilingsError):
+            classes = _cyclic_classes(a)
+    return len(classes), _sampled(a, classes, length // len(classes))
+
+
 def count_rect(a: TransferAutomaton, length: int) -> int:
-    """Exact number of tilings of the width x length rectangle, from one column vector."""
+    """Exact number of tilings of the width x length rectangle: the last count of series.
+
+    Past the checkpoints it holds one column vector, or the last d counts of a proved
+    recurrence, so its memory does not grow with the length.
+    """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    return next(islice(_sweep(a, [range(len(a.states))]), length, None))[0]
+    k, counts = _resampled(a, length)
+    return 0 if length % k else deque(counts, maxlen=1)[0]
 
 
 def series(a: TransferAutomaton, length: int) -> CountSeries:
-    """Counts N(0..length) from one iterated sparse matrix-vector sweep."""
+    """Exact counts N(0..length): a sparse sweep of e0 A^n, one cyclic class a column,
+    and, once Berlekamp-Massey mod word primes proposes a recurrence that the sweep
+    proves, the recurrence; a candidate that fails leaves the sweep running.
+    """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    sweep = islice(_sweep(a, [range(len(a.states))]), length + 1)
-    return CountSeries(width=a.width, terms=tuple(x[0] for x in sweep))
+    k, counts = _resampled(a, length)
+    terms = [0] * (length + 1)
+    terms[::k] = counts
+    return CountSeries(width=a.width, terms=tuple(terms))
 
 
 def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:

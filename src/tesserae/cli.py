@@ -138,7 +138,7 @@ def _cmd_gf(args) -> dict:
 
 def _cmd_faultfree(args) -> dict:
     auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width)
-    classes = tesserae.gf._cyclic_classes(auto)
+    classes = tesserae.automaton._cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])
     _check_sweep(auto, k * args.length, args.length, r0)  # the expansion, checked first
     _check_sweep(auto, k * (2 * r0 + 2), 2 * r0 + 2)  # strip_gf
@@ -262,7 +262,7 @@ def render_text(report: dict) -> str:
 _FAILURES = (
     ("poly", "TileError", EXIT_BAD_TILES, "tile error"),
     ("automaton", "AutomatonError", EXIT_BAD_TILES, "tile error"),
-    ("gf", "NoTilingsError", EXIT_NO_TILINGS, "no tilings"),
+    ("automaton", "NoTilingsError", EXIT_NO_TILINGS, "no tilings"),
 )
 
 

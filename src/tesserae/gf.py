@@ -11,15 +11,12 @@ from itertools import islice
 from math import gcd
 from operator import mul
 
-from .automaton import TransferAutomaton, _sweep, series
+# NoTilingsError: strip_gf raises it through _cyclic_classes, and callers import it from here
+from .automaton import NoTilingsError, TransferAutomaton, _cyclic_classes, _sweep, _vanishes, series
 
 
 class RecurrenceError(ValueError):
     """No linear recurrence fits the supplied terms (series too short?)."""
-
-
-class NoTilingsError(ValueError):
-    """No closed walk returns to the start: every term past n = 0 is zero, so no step exists."""
 
 
 def _strip(p) -> tuple[int, ...]:
@@ -238,35 +235,6 @@ def from_faultfree(g: RationalGF) -> RationalGF:
     if not den or den[0] != 1:
         raise ValueError("reassembly needs g(0) = 0 against a unit denominator")
     return RationalGF(g.den, den, g.step)
-
-
-def _cyclic_classes(a: TransferAutomaton) -> list[list[int]]:
-    # class c: the states at BFS level c mod k from the start, state 0, ascending;
-    # the automaton is one strongly connected component, so k, the gcd of closed-walk
-    # lengths through the start, is that of level[i] + 1 - level[j] over edges
-    level = [0] + [-1] * (len(a.states) - 1)
-    queue = [0]
-    for i in queue:
-        for j, _ in a.edges[i]:
-            if level[j] < 0:
-                level[j] = level[i] + 1
-                queue.append(j)
-    k = 0
-    for i in queue:
-        for j, _ in a.edges[i]:
-            k = gcd(k, level[i] + 1 - level[j])
-    if not k:
-        raise NoTilingsError(f"width {a.width} admits no tiling of any positive length")
-    classes = [[] for _ in range(k)]
-    for i, v in enumerate(level):
-        classes[v % k].append(i)
-    return classes
-
-
-def _vanishes(xs: list[list[int]], coeffs: tuple[int, ...]) -> bool:
-    # whether x_t - c1 x_{t-1} - ... - cd x_{t-d} = 0, xs ending at x_t; stops at a nonzero entry
-    rows = xs[len(xs) - len(coeffs) - 1:][::-1]
-    return all(col[0] == sum(map(mul, coeffs, col[1:])) for col in zip(*rows))
 
 
 def strip_gf(auto: TransferAutomaton) -> RationalGF:

@@ -1,0 +1,216 @@
+"""series and count_rect, which switch from the sweep to a recurrence once it is
+proved, against the plain sweep, the Kasteleyn-Temperley-Fisher product and
+hand-built automata."""
+
+import contextlib
+import functools
+import io
+import json
+from itertools import islice
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tesserae import (
+    AutomatonError,
+    TransferAutomaton,
+    automaton,
+    build_automaton,
+    count_rect,
+    parse_tile_file,
+    preset,
+    series,
+)
+from tesserae.automaton import _propose, _sweep
+from tesserae.cli import main
+from tesserae.poly import PRESETS
+from test_automaton import GROWTH, _grid, dense
+
+
+def plain(auto, length):
+    """N(0..length) from the sweep over every state alone."""
+    return [x[0] for x in islice(_sweep(auto, [range(len(auto.states))]), length + 1)]
+
+
+def matrix_power(auto, length):
+    """N(0..length) as (A^n)[0][0] from the dense matrix."""
+    a, row, out = dense(auto), [1] + [0] * (len(auto.states) - 1), []
+    for _ in range(length + 1):
+        out.append(row[0])
+        row = [sum(row[i] * a[i][j] for i in range(len(row))) for j in range(len(row))]
+    return out
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    # the vectors series and count_rect take from the sweep, e0 included
+    count = [0]
+
+    def counting(*args):
+        for x in _sweep(*args):
+            count[0] += 1
+            yield x
+
+    monkeypatch.setattr(automaton, "_sweep", counting)
+    return count
+
+
+@pytest.fixture
+def proposals(monkeypatch):
+    # every recurrence _propose returns, with the terms it was given
+    log = []
+
+    def logging(terms):
+        coeffs = _propose(terms)
+        log.append((list(terms), coeffs))
+        return coeffs
+
+    monkeypatch.setattr(automaton, "_propose", logging)
+    return log
+
+
+def holds(terms, coeffs):
+    d = len(coeffs)
+    return all(terms[s] == sum(c * terms[s - 1 - i] for i, c in enumerate(coeffs))
+               for s in range(d, len(terms)))
+
+
+# sweep vectors at length 1100: the sweep stops at the checkpoint t that proves the
+# recurrence, k t + 1 vectors for step k, unless a recurrence step costs more than a
+# sweep step (2 d > e) or is not proved before half the length (tetromino-L width 7)
+SWEPT = {
+    ("domino", 8): 33,
+    ("tromino-right", 8): 385,
+    ("tetromino-L", 8): 513,
+    ("tetromino-T", 8): 65,
+    ("domino", 2): 1101,
+    ("monomino", 1): 1101,
+    ("tetromino-T", 6): 1101,
+    ("tetromino-L", 7): 1097,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_counts_equal_the_plain_sweep_past_certification(swept, name):
+    length = 1100  # past t = 512, where tetromino-L width 8 (order 200) is proved
+    for width in range(1, 9):
+        try:
+            auto = build_automaton(preset(name), width)
+        except AutomatonError:
+            continue
+        ref = plain(auto, length)
+        swept[0] = 0
+        assert list(series(auto, length).terms) == ref, (name, width)
+        assert swept[0] == SWEPT.get((name, width), swept[0]), (name, width)
+        for n in (0, 1, 32, 33, 64, 777, length):
+            assert count_rect(auto, n) == ref[n], (name, width, n)
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (3, 2)])
+def test_word_primes_only_propose(monkeypatch, proposals, primes):
+    # with tiny primes the lifts rarely agree, and (3, 2) lifts wrong recurrences
+    # that the exact check rejects: every count stays exact
+    monkeypatch.setattr(automaton, "_PRIMES", primes)
+    for name in sorted(PRESETS):
+        for width in range(1, 9):
+            try:
+                auto = build_automaton(preset(name), width)
+            except AutomatonError:
+                continue
+            if len(auto.states) < 300:
+                assert list(series(auto, 600).terms) == plain(auto, 600), (name, width)
+    wrong = [c for terms, c in proposals if c and not holds(terms, c)]
+    assert bool(wrong) == (primes == (3, 2))
+
+
+def test_residual_rejects_a_fit_of_the_prefix_only(proposals):
+    # start self-loop plus a 40-cycle through the start: a(t) = a(t-1) + a(t-40).  The
+    # counts start 1, 1, 1, ..., so a(t) = a(t-1) holds on every count swept at t = 16
+    # and t = 32, but its residual vector is nonzero
+    edges = (((0, 1), (1, 1)),) + tuple((((i + 1) % 40, 1),) for i in range(1, 40))
+    auto = TransferAutomaton(1, 0, tuple(range(40)), edges)
+    assert list(series(auto, 400).terms) == plain(auto, 400)
+    assert [c for _, c in proposals[:2]] == [(1,), (1,)]
+    assert all(holds(terms, c) for terms, c in proposals[:2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(GROWTH, min_size=1, max_size=2),
+    symmetry=st.sampled_from(["all", "rotations", "none"]),
+    width=st.integers(1, 6),
+)
+def test_counts_equal_the_plain_sweep_on_random_tile_sets(shapes, symmetry, width):
+    tiles = parse_tile_file(f"@symmetry: {symmetry}\n" + "\n\n".join(map(_grid, shapes)))
+    try:
+        auto = build_automaton(tiles, width)
+    except AutomatonError:
+        return
+    ref = plain(auto, 400)
+    assert list(series(auto, 400).terms) == ref
+    assert [count_rect(auto, n) for n in (33, 199, 400)] == [ref[33], ref[199], ref[400]]
+
+
+@functools.lru_cache(maxsize=None)
+def cos2(n):
+    # 4 cos^2(pi k / (n + 1)) for k = 1..n / 2, to more digits than any count checked here
+    with mpmath.workdps(720):
+        return [4 * mpmath.cos(mpmath.pi * k / (n + 1)) ** 2 for k in range(1, n // 2 + 1)]
+
+
+def ktf(m, n):
+    """Domino tilings of an m x n rectangle by the Kasteleyn-Temperley-Fisher product
+    of 4 cos^2(pi j / (m + 1)) + 4 cos^2(pi k / (n + 1)), j <= m / 2, k <= n / 2."""
+    if m * n % 2:
+        return 0
+    with mpmath.workdps(m * n // 7 + 30):  # the count has under 0.127 m n digits
+        return int(mpmath.nint(mpmath.fprod(a + b for a in cos2(m) for b in cos2(n))))
+
+
+def test_domino_counts_match_the_kasteleyn_product():
+    assert [ktf(2, n) for n in range(8)] == [1, 1, 2, 3, 5, 8, 13, 21]
+    assert ktf(8, 8) == 12988816
+    for m in range(1, 13):
+        auto = build_automaton(preset("domino"), m)
+        assert list(series(auto, 120).terms) == [ktf(m, n) for n in range(121)], m
+        for n in (0, 1, 33, 64, 97, 120):
+            assert count_rect(auto, n) == ktf(m, n), (m, n)
+    assert count_rect(build_automaton(preset("domino"), 8), 600) == ktf(8, 600)
+
+
+@pytest.mark.parametrize("width", [5, 6, 7])
+def test_widths_with_no_tiling_count_zero_past_length_zero(width):
+    auto = build_automaton(preset("tetromino-T"), width)
+    for length in (0, 8, 32, 33, 200):
+        assert series(auto, length).terms == (1,) + (0,) * length
+        assert count_rect(auto, length) == (length == 0)
+    for command in ("count", "series"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--tiles", "tetromino-T", "--width", str(width),
+                         "--length", "40", "--json"])
+        key, want = ("count", "0") if command == "count" else ("series", ["1"] + ["0"] * 40)
+        assert code == 0 and json.loads(out.getvalue())[key] == want
+
+
+# hand-built automata that build_automaton never returns: not trimmed, with states
+# that never return to the start or are never reached, or no closed walk at all
+UNTRIMMED = {
+    "dead end": (((0, 1),), ()),
+    "dies out": (((1, 1), (2, 1)), ((2, 1),), ()),
+    "growing dead end": (((0, 1), (1, 1)), ((1, 2),)),
+    "unreachable": (((0, 1),), ((0, 1), (1, 1))),
+    "period 2 with a dead end": (((1, 1), (2, 1)), ((0, 3),), ((3, 1),), ((2, 1),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTRIMMED))
+def test_untrimmed_hand_built_automata_keep_their_counts(name):
+    edges = UNTRIMMED[name]
+    auto = TransferAutomaton(1, 1, tuple(range(len(edges))), edges)
+    ref = matrix_power(auto, 150)
+    assert plain(auto, 150) == ref
+    assert list(series(auto, 150).terms) == ref
+    assert [count_rect(auto, n) for n in (0, 1, 40, 150)] == [ref[0], ref[1], ref[40], ref[150]]
