@@ -46,7 +46,7 @@ MAX_WIDTH = 512
 # brute_force_count's memo of partial fillings, checked before each is searched: domino
 # 16x16 fills it in 0.8 s and 44 MB on one Xeon core, the 12 pentominoes (63 variants) in 9 s.
 MAX_ORACLE_STATES = 1 << 18
-# the 14 largest primes below 2^31, for series' recurrence proposer
+# the 14 largest primes below 2^31, for the recurrence proposer of _certified
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
            2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323)
 
@@ -191,26 +191,33 @@ def _vanishes(xs: list[list[int]], coeffs: tuple[int, ...]) -> bool:
     return all(col[0] == sum(map(mul, coeffs, col[1:])) for col in zip(*rows))
 
 
-def _propose(terms: list[int]) -> tuple[int, ...]:
-    # (c1, ..., cL) of the shortest recurrence a[t] = c1 a[t-1] + ... + cL a[t-L], t >= L:
-    # Berlekamp-Massey mod each of _PRIMES, its c = [1, -c1, ..., -cL] lifted by symmetric
-    # CRT until two lifts agree, a prime with another L starting over.  () when 2 L exceeds
-    # the terms, as the recurrence is then not unique, or when the primes run out
+def _registers(terms: list[int], p: int) -> Iterator[list[int]]:
+    # Berlekamp-Massey mod p: after each term, c = [1, -c1, ..., -cL] of the shortest
+    # recurrence a[t] = c1 a[t-1] + ... + cL a[t-L] of the terms so far; terms may grow
+    # between reads, one term each
+    a, c, b, gap, b_disc = [], [1], [1], 1, 1
+    for n, x in enumerate(terms):
+        a.append(x % p)
+        disc = sum(map(mul, reversed(c), a[n + 1 - len(c):])) % p
+        if disc:
+            f, nxt = disc * pow(b_disc, -1, p), c + [0] * (gap + len(b) - len(c))
+            for j, y in enumerate(b, gap):
+                nxt[j] = (nxt[j] - f * y) % p
+            if 2 * len(c) <= n + 2:  # 2 L <= n: L becomes n + 1 - L
+                b, b_disc, gap = c, disc, 0
+            c = nxt[:max(len(c), n + 3 - len(c))]  # deg c <= L: the cut drops zeros only
+        gap += 1
+        yield c
+
+
+def _lift(terms: list[int], c: list[int]) -> tuple[int, ...]:
+    # (c1, ..., cL) from c, the register of the terms mod _PRIMES[0], lifted by symmetric CRT
+    # with the register mod each further prime until two lifts agree, a prime with another L
+    # starting over; () when the primes run out
     lift, modulus = [], 1
-    for p in _PRIMES:
-        a, c, b, gap, b_disc = [x % p for x in terms], [1], [1], 1, 1
-        for n in range(len(a)):
-            disc = sum(map(mul, reversed(c), a[n + 1 - len(c):n + 1])) % p
-            if disc:
-                f, nxt = disc * pow(b_disc, -1, p), c + [0] * (gap + len(b) - len(c))
-                for j, y in enumerate(b, gap):
-                    nxt[j] = (nxt[j] - f * y) % p
-                if 2 * len(c) <= n + 2:  # 2 L <= n: L becomes n + 1 - L
-                    b, b_disc, gap = c, disc, 0
-                c = nxt[:max(len(c), n + 3 - len(c))]  # deg c <= L: the cut drops zeros only
-            gap += 1
-        if 2 * len(c) > len(terms) + 2:
-            return ()
+    for i, p in enumerate(_PRIMES):
+        if i:
+            c = deque(_registers(terms, p), maxlen=1)[0]
         if len(c) != len(lift):
             lift, modulus = [0] * len(c), 1
         inv, m = pow(modulus, -1, p), modulus * p
@@ -221,42 +228,57 @@ def _propose(terms: list[int]) -> tuple[int, ...]:
     return ()
 
 
-def _sampled(a: TransferAutomaton, classes: list, n: int) -> Iterator[int]:
-    # N(k t) for t = 0..n, k = len(classes), from the sweep x_t = e0 B^t, B = A^k.  At
-    # t = 16, 32, 64, ..., while more is left than swept, a proposed recurrence that holds
-    # on every count so far is proved for good once its residual x_t - c1 x_{t-1} - ...
-    # - cd x_{t-d} is the zero vector, as each later one is this one times a power of B;
-    # later counts then cost d multiply-adds each, where that is cheaper than a sweep step
+def _certified(a: TransferAutomaton, classes: list, n: int | None = None,
+               most: int | None = None) -> Iterator[int]:
+    # N(k t) = x_t[0] for t = 0..n, without end when n is None, from the sweep x_t = e0 B^t,
+    # B = A^k, k = len(classes): the one loop of series, count_rect and strip_gf.  Each
+    # count goes to a Berlekamp-Massey register mod _PRIMES[0], tried once its length L has
+    # 2 L <= t, where an unsettled register never is, and again when it has changed or t + 1
+    # has doubled since the last try.  A try lifts it by _lift; the candidate holds for every
+    # t once it holds on every count so far and its residual x_t - c1 x_{t-1} - ... - cd
+    # x_{t-d} over the start class is the zero vector, as each later one is this one times a
+    # power of B, and the generator returns it with the counts.  Tries stop, and the sweep
+    # runs on alone, once 2 t >= n or L > most
     k, start = len(classes), classes[0]
-    sweep = islice(_sweep(a, classes), 0, k * n + 1, k)
-    terms, window, check = [], [], 16
+    sweep = islice(_sweep(a, classes), 0, None if n is None else k * n + 1, k)
+    terms, window, tried, since = [], [], None, 0
+    registers = _registers(terms, _PRIMES[0])
     for t, x in enumerate(sweep):
         yield x[0]
-        if 2 * check >= n:  # no checkpoint left with more to come than swept
-            break
         terms.append(x[0])
-        window = window[-(check // 2):] + [x]  # x_{t-L}..x_t at a checkpoint, as 2 L <= t + 1
-        if t < check:
-            continue
-        check *= 2
-        coeffs = _propose(terms)
-        d = len(coeffs)
-        if 2 * d > sum(map(len, a.edges)):  # costlier than the additions of one sweep step
+        window.append([x[i] for i in start])
+        c = next(registers)
+        if n is not None and 2 * t >= n or most is not None and len(c) > most + 1:
             break
-        if d and _vanishes([terms[s:s + t + 1 - d] for s in range(d + 1)], coeffs) and _vanishes(
-                [[y[i] for i in start] for y in window], coeffs):
-            last = deque(terms[t + 1 - d:], maxlen=d)
-            for _ in range(n - t):
-                last.append(sum(map(mul, coeffs, reversed(last))))
-                yield last[-1]
-            return
-    del terms, window  # for count_rect, which then holds one vector at any length
+        del window[:-len(c) - 1]  # x_{t-L-1}..x_t
+        if 2 * len(c) <= t + 2 and (c is not tried or t + 1 >= 2 * since):  # 2 L <= t
+            tried, since = c, t + 1
+            coeffs = _lift(terms, c)
+            d = len(coeffs)
+            if 0 < d < len(window) and _vanishes(
+                    [terms[s:s + t + 1 - d] for s in range(d + 1)], coeffs) and _vanishes(
+                    window, coeffs):
+                return coeffs, terms
+    del terms, window, registers  # for count_rect, which then holds one vector at any length
     yield from map(itemgetter(0), sweep)
+
+
+def _sampled(a: TransferAutomaton, classes: list, n: int) -> Iterator[int]:
+    # N(k t) for t = 0..n from _certified, with no try when n <= 32; a proved recurrence
+    # of order d gives the later counts at d multiply-adds each, so it is tried only where
+    # that is cheaper than the e additions of a sweep step: 2 d <= e
+    proof = yield from _certified(a, classes, n, sum(map(len, a.edges)) // 2 if n > 32 else 0)
+    if proof:
+        coeffs, terms = proof
+        last = deque(terms[len(terms) - len(coeffs):], maxlen=len(coeffs))
+        for _ in range(n + 1 - len(terms)):
+            last.append(sum(map(mul, coeffs, reversed(last))))
+            yield last[-1]
 
 
 def _resampled(a: TransferAutomaton, length: int) -> tuple[int, Iterator[int]]:
     # the length step k and N(k t) for t = 0..length // k; k = 1, every state stepped, when
-    # no closed walk passes the start or below 33 columns, where no checkpoint is reached
+    # no closed walk passes the start or below 33 columns, where no recurrence is tried
     classes = [range(len(a.states))]
     if length > 32:
         with suppress(NoTilingsError):
@@ -267,8 +289,8 @@ def _resampled(a: TransferAutomaton, length: int) -> tuple[int, Iterator[int]]:
 def count_rect(a: TransferAutomaton, length: int) -> int:
     """Exact number of tilings of the width x length rectangle: the last count of series.
 
-    Past the checkpoints it holds one column vector, or the last d counts of a proved
-    recurrence, so its memory does not grow with the length.
+    Once it stops trying recurrences it holds one column vector, or the last d counts of
+    a proved recurrence, so its memory does not grow with the length.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -278,8 +300,10 @@ def count_rect(a: TransferAutomaton, length: int) -> int:
 
 def series(a: TransferAutomaton, length: int) -> CountSeries:
     """Exact counts N(0..length): a sparse sweep of e0 A^n, one cyclic class a column,
-    and, once Berlekamp-Massey mod word primes proposes a recurrence that the sweep
-    proves, the recurrence; a candidate that fails leaves the sweep running.
+    read through the certified loop that strip_gf also reads.  From 33 columns on, while
+    fewer steps are swept than left, Berlekamp-Massey mod a word prime proposes a
+    recurrence; once the sweep proves it, the recurrence gives the rest where it is the
+    cheaper, and a candidate that fails leaves the sweep running.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")

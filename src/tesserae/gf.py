@@ -7,12 +7,11 @@ Polynomials are tuples of coefficients in ascending powers of z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 from operator import mul
 
 # NoTilingsError: strip_gf raises it through _cyclic_classes, and callers import it from here
-from .automaton import NoTilingsError, TransferAutomaton, _cyclic_classes, _sweep, _vanishes, series
+from .automaton import NoTilingsError, TransferAutomaton, _certified, _cyclic_classes, series
 
 
 class RecurrenceError(ValueError):
@@ -134,38 +133,6 @@ class LinearRecurrence:
     valid_from: int
 
 
-class _Massey:
-    # Berlekamp-Massey over ℤ, fraction-free, fed one term at a time.  c and b
-    # are the current and last-length-change registers, up to scale; each
-    # update cross-multiplies by the two discrepancies and divides out the content
-    def __init__(self) -> None:
-        self.terms, self.c, self.b = [], (1,), (1,)
-        self.length, self.gap, self.b_disc = 0, 1, 1
-
-    def feed(self, term: int) -> None:
-        self.terms.append(term)
-        c, b, gap = self.c, self.b, self.gap
-        disc = sum(map(mul, c, reversed(self.terms)))
-        self.gap += 1
-        if disc:
-            nxt = [self.b_disc * x for x in c] + [0] * (len(b) + gap - len(c))
-            for j, x in enumerate(b):
-                nxt[j + gap] -= disc * x
-            if 2 * self.length < len(self.terms):
-                self.length, self.b, self.b_disc, self.gap = len(self.terms) - self.length, c, disc, 1
-            self.c = _primitive(nxt)
-
-    def recurrence(self) -> LinearRecurrence:
-        poly = _strip(self.c)
-        n, order = len(self.terms), len(poly) - 1
-        if n - self.length < order + 2 or any(x % poly[0] for x in poly):
-            raise RecurrenceError(
-                f"{n} terms leave {n - self.length} past the linear complexity {self.length}, "
-                f"too few to check an order-{order} integer recurrence; supply a longer series"
-            )
-        return LinearRecurrence(order, tuple(-x // poly[0] for x in poly[1:]), self.length)
-
-
 def infer_recurrence(terms) -> LinearRecurrence:
     """Minimal integer linear recurrence of the terms, by Berlekamp-Massey.
 
@@ -176,14 +143,31 @@ def infer_recurrence(terms) -> LinearRecurrence:
     which is reported as valid_from, so transients are allowed.  It is
     accepted only when C is integral and at least order + 2 terms lie past
     L.  The margin always holds when L <= len(terms) / 2 - 1, which also
-    makes C the unique minimal connection polynomial of the terms.  Each term
-    goes to the resumable state that strip_gf feeds column by column, and C,
-    carried up to scale, is divided by C(0) once at the end.
+    makes C the unique minimal connection polynomial of the terms.  C and
+    the last-length-change register B are carried up to scale: each update
+    cross-multiplies by the two discrepancies and divides out the content,
+    and C is divided by C(0) once at the end.
     """
-    bm = _Massey()
-    for x in terms:
-        bm.feed(int(x))
-    return bm.recurrence()
+    a = [int(x) for x in terms]
+    c, b, length, gap, b_disc = (1,), (1,), 0, 1, 1
+    for n in range(len(a)):
+        disc = sum(map(mul, c, a[n::-1]))
+        if disc:
+            nxt = [b_disc * x for x in c] + [0] * (len(b) + gap - len(c))
+            for j, x in enumerate(b, gap):
+                nxt[j] -= disc * x
+            if 2 * length <= n:
+                length, b, b_disc, gap = n + 1 - length, c, disc, 0
+            c = _primitive(nxt)
+        gap += 1
+    poly = _strip(c)
+    n, order = len(a), len(poly) - 1
+    if n - length < order + 2 or any(x % poly[0] for x in poly):
+        raise RecurrenceError(
+            f"{n} terms leave {n - length} past the linear complexity {length}, "
+            f"too few to check an order-{order} integer recurrence; supply a longer series"
+        )
+    return LinearRecurrence(order, tuple(-x // poly[0] for x in poly[1:]), length)
 
 
 def recurrence_to_gf(rec: LinearRecurrence, terms, step: int = 1) -> RationalGF:
@@ -244,35 +228,26 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
     States at BFS level c mod k form cyclic class c, which a column step maps
     into class c + 1; a[t] = N(k t) is read off B = A^k restricted to the
     start's class of r0 states, so its linear complexity L is at most r0 by
-    Cayley-Hamilton.  One sweep x_t = e0 B^t, each column step visiting one
-    class, feeds a[t] = x_t[0] to a resumable Berlekamp-Massey.  A fit that
-    meets the margin of infer_recurrence holds for every t once its residual
-    x_t - c1 x_{t-1} - ... - cd x_{t-d} is the zero vector at the latest t:
-    later residuals are it times powers of B, and entry 0 of each earlier one
-    was matched.  That takes the last L + 2 start-class vectors, at most
-    (L + 2) r0 integers; an unchanged fit is checked again once the prefix
-    has doubled.  At 2 r0 + 2 terms, or at once below r0 = 16, no check is
-    needed (2 r0 terms fix the fit, two more meet the margin).  Either way it
-    is the unique minimal recurrence, and Fatou's lemma makes num/den integral.
+    Cayley-Hamilton.  The counts come from automaton's certified sweep, the
+    one that series and count_rect read: Berlekamp-Massey mod a word prime
+    proposes, and a recurrence that holds on every count and whose residual
+    x_t - c1 x_{t-1} - ... - cd x_{t-d} over the start class is the zero
+    vector holds for every t.  At 2 r0 + 2 counts with none proved, or at
+    once below r0 = 16, the exact infer_recurrence takes them: 2 r0 terms fix
+    the fit and two more meet its margin.  Either way num/den is the series'
+    gf, which RationalGF reduces to its one lowest-terms form, and Fatou's
+    lemma makes it integral.
     """
     classes = _cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])
     if r0 < 16:
         a = series(auto, k * (2 * r0 + 1)).terms[::k]
         return recurrence_to_gf(infer_recurrence(a), a, step=k)
-    bm, window, checked, since = _Massey(), [], None, 0
-    for x in islice(_sweep(auto, classes), 0, None, k):
-        bm.feed(x[0])
-        window.append([x[i] for i in classes[0]])
-        del window[:-bm.length - 2]
-        n = len(bm.terms)
-        if n == 2 * r0 + 2:
-            return recurrence_to_gf(bm.recurrence(), bm.terms, step=k)
-        try:
-            rec = bm.recurrence()
-        except RecurrenceError:
-            rec = None
-        if rec is not None and (rec != checked or n >= 2 * since):
-            checked, since = rec, n
-            if _vanishes(window, rec.coeffs):
-                return recurrence_to_gf(rec, bm.terms, step=k)
+    sweep, a = _certified(auto, classes), []
+    try:
+        while len(a) < 2 * r0 + 2:
+            a.append(next(sweep))
+    except StopIteration as proof:
+        coeffs = proof.value[0]
+        return recurrence_to_gf(LinearRecurrence(len(coeffs), coeffs, 0), a, step=k)
+    return recurrence_to_gf(infer_recurrence(a), a, step=k)

@@ -1,6 +1,7 @@
 """series and count_rect, which switch from the sweep to a recurrence once it is
-proved, against the plain sweep, the Kasteleyn-Temperley-Fisher product and
-hand-built automata."""
+proved, and strip_gf, which reads the same sweep, against the plain sweep, the
+r0 path, the Kasteleyn-Temperley-Fisher product and growth rate, and hand-built
+automata."""
 
 import contextlib
 import functools
@@ -15,18 +16,26 @@ from hypothesis import strategies as st
 
 from tesserae import (
     AutomatonError,
+    NoTilingsError,
     TransferAutomaton,
     automaton,
     build_automaton,
     count_rect,
+    dominant_root,
+    gf,
+    infer_recurrence,
     parse_tile_file,
+    perron_root,
     preset,
     series,
+    strip_gf,
 )
-from tesserae.automaton import _propose, _sweep
+from tesserae.automaton import _cyclic_classes, _lift, _sweep
 from tesserae.cli import main
 from tesserae.poly import PRESETS
+from tesserae.spectral import PERRON_TOL
 from test_automaton import GROWTH, _grid, dense
+from test_gf import r0_path
 
 
 def plain(auto, length):
@@ -59,15 +68,15 @@ def swept(monkeypatch):
 
 @pytest.fixture
 def proposals(monkeypatch):
-    # every recurrence _propose returns, with the terms it was given
+    # every recurrence _lift returns, with the terms it was given
     log = []
 
-    def logging(terms):
-        coeffs = _propose(terms)
+    def logging(terms, c):
+        coeffs = _lift(terms, c)
         log.append((list(terms), coeffs))
         return coeffs
 
-    monkeypatch.setattr(automaton, "_propose", logging)
+    monkeypatch.setattr(automaton, "_lift", logging)
     return log
 
 
@@ -77,14 +86,15 @@ def holds(terms, coeffs):
                for s in range(d, len(terms)))
 
 
-# sweep vectors at length 1100: the sweep stops at the checkpoint t that proves the
-# recurrence, k t + 1 vectors for step k, unless a recurrence step costs more than a
-# sweep step (2 d > e) or is not proved before half the length (tetromino-L width 7)
+# sweep vectors at length 1100: the sweep stops at the t that proves the recurrence,
+# t = 2 d for these, k t + 1 vectors for step k, unless a recurrence step costs more
+# than a sweep step (2 d > e) or is not proved before half the length (tetromino-L
+# width 7)
 SWEPT = {
     ("domino", 8): 33,
-    ("tromino-right", 8): 385,
-    ("tetromino-L", 8): 513,
-    ("tetromino-T", 8): 65,
+    ("tromino-right", 8): 217,
+    ("tetromino-L", 8): 401,
+    ("tetromino-T", 8): 25,
     ("domino", 2): 1101,
     ("monomino", 1): 1101,
     ("tetromino-T", 6): 1101,
@@ -94,7 +104,7 @@ SWEPT = {
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_counts_equal_the_plain_sweep_past_certification(swept, name):
-    length = 1100  # past t = 512, where tetromino-L width 8 (order 200) is proved
+    length = 1100  # past t = 400, where tetromino-L width 8 (order 200) is proved
     for width in range(1, 9):
         try:
             auto = build_automaton(preset(name), width)
@@ -111,8 +121,12 @@ def test_counts_equal_the_plain_sweep_past_certification(swept, name):
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 2)])
 def test_word_primes_only_propose(monkeypatch, proposals, primes):
     # with tiny primes the lifts rarely agree, and (3, 2) lifts wrong recurrences
-    # that the exact check rejects: every count stays exact
+    # that the exact checks reject: every count stays exact, and strip_gf, whose
+    # lifts all fail here, takes the exact 2 r0 + 2 terminal and the r0 path's gf
     monkeypatch.setattr(automaton, "_PRIMES", primes)
+    terminal = []
+    monkeypatch.setattr(gf, "infer_recurrence",
+                        lambda terms: terminal.append(len(terms)) or infer_recurrence(terms))
     for name in sorted(PRESETS):
         for width in range(1, 9):
             try:
@@ -121,19 +135,28 @@ def test_word_primes_only_propose(monkeypatch, proposals, primes):
                 continue
             if len(auto.states) < 300:
                 assert list(series(auto, 600).terms) == plain(auto, 600), (name, width)
+                terminal.clear()
+                try:
+                    g = strip_gf(auto)
+                except NoTilingsError:
+                    continue
+                assert g == r0_path(auto), (name, width)
+                r0 = len(_cyclic_classes(auto)[0])
+                assert terminal == [2 * r0 + 2], (name, width)
     wrong = [c for terms, c in proposals if c and not holds(terms, c)]
     assert bool(wrong) == (primes == (3, 2))
 
 
 def test_residual_rejects_a_fit_of_the_prefix_only(proposals):
     # start self-loop plus a 40-cycle through the start: a(t) = a(t-1) + a(t-40).  The
-    # counts start 1, 1, 1, ..., so a(t) = a(t-1) holds on every count swept at t = 16
-    # and t = 32, but its residual vector is nonzero
+    # counts start 1, 1, 1, ..., so a(t) = a(t-1) holds on every count swept at the
+    # tries t = 2, 5, 11 and 23, but its residual vector is nonzero
     edges = (((0, 1), (1, 1)),) + tuple((((i + 1) % 40, 1),) for i in range(1, 40))
     auto = TransferAutomaton(1, 0, tuple(range(40)), edges)
     assert list(series(auto, 400).terms) == plain(auto, 400)
-    assert [c for _, c in proposals[:2]] == [(1,), (1,)]
-    assert all(holds(terms, c) for terms, c in proposals[:2])
+    assert [(len(terms) - 1, c) for terms, c in proposals[:4]] == [
+        (2, (1,)), (5, (1,)), (11, (1,)), (23, (1,))]
+    assert all(holds(terms, c) for terms, c in proposals[:4])
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,6 +201,28 @@ def test_domino_counts_match_the_kasteleyn_product():
         for n in (0, 1, 33, 64, 97, 120):
             assert count_rect(auto, n) == ktf(m, n), (m, n)
     assert count_rect(build_automaton(preset("domino"), 8), 600) == ktf(8, 600)
+
+
+def ktf_root(m):
+    """Growth rate of width-m domino strips, the product over j = 1..ceil(m / 2) of
+    c + sqrt(1 + c^2), c = cos(pi j / (m + 1)): the largest eigenvalue of the
+    Kasteleyn-Temperley-Fisher transfer matrix."""
+    with mpmath.workdps(60):
+        cs = [mpmath.cos(mpmath.pi * j / (m + 1)) for j in range(1, (m + 1) // 2 + 1)]
+        return mpmath.fprod(c + mpmath.sqrt(1 + c * c) for c in cs)
+
+
+@pytest.mark.parametrize("m", range(2, 17, 2))
+def test_domino_growth_matches_the_kasteleyn_root(m):
+    # perron_root within its tolerance; at widths to 12 the gf's den has order 2^(m/2),
+    # and dominant_root, which rounds the root it isolates to a double, is lam rounded
+    lam = ktf_root(m)
+    auto = build_automaton(preset("domino"), m)
+    assert perron_root(auto) == pytest.approx(float(lam), rel=PERRON_TOL, abs=0)
+    if m <= 12:
+        g = strip_gf(auto)
+        assert (len(g.den) - 1, g.step) == (2 ** (m // 2), 1)
+        assert dominant_root(g) == float(lam)
 
 
 @pytest.mark.parametrize("width", [5, 6, 7])

@@ -74,7 +74,7 @@ class TestDominantRoot:
 
 
 # (float.hex of dominant_root(strip_gf(auto)), step) where strip_gf takes
-# seconds: L width 7 (6 s, the ROOT_HEX value below) and width 8 (96 s,
+# seconds: L width 7 (2 s, the ROOT_HEX value below) and width 8 (40 s,
 # degree 200)
 SLOW_GF_ROOTS = {
     ("tetromino-L", 7): ("0x1.626ebc9fbb61bp+16", 8),
@@ -270,11 +270,14 @@ def test_independent_routes_agree_on_random_tile_sets(shapes, symmetry, width):
         return
     step, r0 = len(classes), len(classes[0])
     assert detect_step(prefix) == step
-    # strip_gf's exact Berlekamp-Massey and gcd grow steeply with the order,
-    # which can come near r0: domino plus I-pentomino at width 4 (r0 = 625,
-    # order 320) takes minutes, so the gf routes run on start classes of up to
-    # 400 states, and the r0 path, which always reads 2 r0 + 2 terms, up to 200
-    if r0 > 400:
+    # strip_gf's gcd in RationalGF grows steeply with the order, which can come
+    # near r0: the L-tetromino and I-pentomino under rotations at width 4 (r0 =
+    # 500, order 445) take a minute, as does domino plus I-pentomino (r0 = 625,
+    # order 320).  Below r0 = 500 these tile sets reach no start class past 389
+    # states, and the slowest gf, r0 = 242 with order 216, takes about 3 s, so
+    # the gf routes run on start classes of up to 499 states, and the r0 path,
+    # whose exact Berlekamp-Massey always reads 2 r0 + 2 terms, up to 200
+    if r0 > 499:
         return
     g = strip_gf(auto)
     assert g.step == step
