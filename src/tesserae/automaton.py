@@ -277,12 +277,12 @@ def _sampled(a: TransferAutomaton, classes: list, n: int) -> Iterator[int]:
 
 
 def _resampled(a: TransferAutomaton, length: int) -> tuple[int, Iterator[int]]:
-    # the length step k and N(k t) for t = 0..length // k; k = 1, every state stepped, when
-    # no closed walk passes the start or below 33 columns, where no recurrence is tried
+    # the length step k, 1 when no closed walk passes the start, and N(k t), t = 0..length // k
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     classes = [range(len(a.states))]
-    if length > 32:
-        with suppress(NoTilingsError):
-            classes = _cyclic_classes(a)
+    with suppress(NoTilingsError):
+        classes = _cyclic_classes(a)
     return len(classes), _sampled(a, classes, length // len(classes))
 
 
@@ -292,21 +292,16 @@ def count_rect(a: TransferAutomaton, length: int) -> int:
     Once it stops trying recurrences it holds one column vector, or the last d counts of
     a proved recurrence, so its memory does not grow with the length.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
     k, counts = _resampled(a, length)
     return 0 if length % k else deque(counts, maxlen=1)[0]
 
 
 def series(a: TransferAutomaton, length: int) -> CountSeries:
     """Exact counts N(0..length): a sparse sweep of e0 A^n, one cyclic class a column,
-    read through the certified loop that strip_gf also reads.  From 33 columns on, while
-    fewer steps are swept than left, Berlekamp-Massey mod a word prime proposes a
-    recurrence; once the sweep proves it, the recurrence gives the rest where it is the
-    cheaper, and a candidate that fails leaves the sweep running.
+    read through the certified loop that strip_gf also reads.  Past 32 swept counts N(k t),
+    while fewer are swept than left, a recurrence proposed mod word primes and proved by
+    the sweep gives the rest where it is the cheaper; a failed candidate leaves the sweep on.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
     k, counts = _resampled(a, length)
     terms = [0] * (length + 1)
     terms[::k] = counts

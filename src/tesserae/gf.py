@@ -91,10 +91,9 @@ def _reduced(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise ValueError("denominator needs a nonzero constant term")
     if not num:
         return (0,), (1,)
-    g = poly_gcd(num, den)
-    if len(g) > 1:
-        num = _exact_div(num, g)
-        den = _exact_div(den, g)
+    g = poly_gcd(num, den)  # (1,) when they are coprime, which divides nothing
+    num = _exact_div(num, g)
+    den = _exact_div(den, g)
     if den[0] == -1:
         num = tuple(-c for c in num)
         den = tuple(-c for c in den)
@@ -105,9 +104,9 @@ def _reduced(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class RationalGF:
     """A rational generating function num(z)/den(z), kept in lowest terms.
 
-    den(0) is normalized to 1 and any common polynomial factor is divided
-    out on construction.  step records how many strip columns one power of
-    z stands for.
+    A caller's num and den are reduced on construction, den(0) normalized to
+    1 and any common factor divided out; strip_gf, faultfree and from_faultfree
+    build theirs coprime.  step is the number of strip columns per power of z.
     """
 
     num: tuple[int, ...]
@@ -122,6 +121,14 @@ class RationalGF:
             raise ValueError("denominator constant term must normalize to 1")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+
+def _coprime(num, den, step: int) -> RationalGF:
+    # RationalGF without the gcd, for a num and den already coprime with den(0) = 1
+    g = object.__new__(RationalGF)
+    for field, value in ("num", _strip(num) or (0,)), ("den", _strip(den)), ("step", step):
+        object.__setattr__(g, field, value)
+    return g
 
 
 @dataclass(frozen=True)
@@ -181,11 +188,8 @@ def recurrence_to_gf(rec: LinearRecurrence, terms, step: int = 1) -> RationalGF:
     if len(a) < need:
         raise ValueError(f"need at least {need} initial terms, got {len(a)}")
     den = (1,) + tuple(-c for c in rec.coeffs)
-    num = [
-        sum(den[j] * a[k - j] for j in range(min(k, rec.order) + 1))
-        for k in range(need)
-    ]
-    return RationalGF(tuple(num) if num else (0,), den, step)
+    num = [sum(map(mul, den, a[k::-1])) for k in range(need)]
+    return RationalGF(num, den, step)
 
 
 def expand(g: RationalGF, length: int) -> list[int]:
@@ -206,11 +210,12 @@ def faultfree(g: RationalGF) -> RationalGF:
 
     A fault-free rectangle has straight interfaces only at its two ends;
     every tiling splits uniquely into a concatenation of fault-free blocks,
-    which is what makes G = 1/(1 - G') hold.  G'(0) = 0 by construction.
+    which is what makes G = 1/(1 - G') hold.  G'(0) = 0 by construction, and
+    gcd(num - den, num) = gcd(den, num) = 1 keeps it coprime, as from_faultfree.
     """
     if not g.num or g.num[0] != 1:
         raise ValueError("fault-free decomposition needs g(0) = 1")
-    return RationalGF(_sub(g.num, g.den) or (0,), g.num, g.step)
+    return _coprime(_sub(g.num, g.den), g.num, g.step)
 
 
 def from_faultfree(g: RationalGF) -> RationalGF:
@@ -218,7 +223,7 @@ def from_faultfree(g: RationalGF) -> RationalGF:
     den = _sub(g.den, g.num)
     if not den or den[0] != 1:
         raise ValueError("reassembly needs g(0) = 0 against a unit denominator")
-    return RationalGF(g.den, den, g.step)
+    return _coprime(g.den, den, g.step)
 
 
 def strip_gf(auto: TransferAutomaton) -> RationalGF:
@@ -229,25 +234,25 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
     into class c + 1; a[t] = N(k t) is read off B = A^k restricted to the
     start's class of r0 states, so its linear complexity L is at most r0 by
     Cayley-Hamilton.  The counts come from automaton's certified sweep, the
-    one that series and count_rect read: Berlekamp-Massey mod a word prime
-    proposes, and a recurrence that holds on every count and whose residual
-    x_t - c1 x_{t-1} - ... - cd x_{t-d} over the start class is the zero
-    vector holds for every t.  At 2 r0 + 2 counts with none proved, or at
-    once below r0 = 16, the exact infer_recurrence takes them: 2 r0 terms fix
-    the fit and two more meet its margin.  Either way num/den is the series'
-    gf, which RationalGF reduces to its one lowest-terms form, and Fatou's
-    lemma makes it integral.
+    one that series and count_rect read, which proves a recurrence a[t] =
+    c1 a[t-1] + ... + cd a[t-d] for every t.  Then den = 1 - c1 z - ... -
+    cd z^d and num = den (a[0] + a[1] z + ...) mod z^d are coprime: the gf
+    in lowest terms has an integral den (Fatou's lemma), a recurrence of the
+    least length L_Q, which reduces mod p, so the register mod p has d = L_p
+    <= L_Q, and the proved recurrence gives L_Q <= d; a common factor of
+    degree e would generate the counts with complexity d - e.  At 2 r0 + 2
+    counts with none proved, or at once below r0 = 16 through series, the
+    exact infer_recurrence takes them (2 r0 fix the fit, two more meet its
+    margin) and recurrence_to_gf reduces.
     """
     classes = _cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])
-    if r0 < 16:
-        a = series(auto, k * (2 * r0 + 1)).terms[::k]
-        return recurrence_to_gf(infer_recurrence(a), a, step=k)
-    sweep, a = _certified(auto, classes), []
+    sweep = _certified(auto, classes)
+    a = series(auto, k * (2 * r0 + 1)).terms[::k] if r0 < 16 else []  # all, or none yet
     try:
         while len(a) < 2 * r0 + 2:
             a.append(next(sweep))
     except StopIteration as proof:
-        coeffs = proof.value[0]
-        return recurrence_to_gf(LinearRecurrence(len(coeffs), coeffs, 0), a, step=k)
+        den = (1, *(-c for c in proof.value[0]))
+        return _coprime([sum(map(mul, den, a[t::-1])) for t in range(len(den) - 1)], den, k)
     return recurrence_to_gf(infer_recurrence(a), a, step=k)

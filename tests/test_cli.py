@@ -307,7 +307,8 @@ class TestExitCodes:
         assert run_json(capsys, *argv)["terms"] == [str(t) for t in tesserae.expand(g, 5000)]
 
     def test_faultfree_prices_the_bound_of_strip_gf(self, capsys):
-        # strip_gf takes over 90 s on L w8, whose 2 r0 + 2 steps bound 1180 columns
+        # charged for strip_gf's bound, 2 r0 + 2 steps or 1180 columns on L w8, though strip_gf
+        # proves that gf in under a second
         start = time.perf_counter()
         assert run(capsys, "faultfree", "--tiles", "tetromino-L", "--width", "8") == (
             1, "", "usage error: 1180 columns exceed the sweep budget at width 8\n")

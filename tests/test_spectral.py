@@ -18,6 +18,8 @@ from tesserae import (
     entropy_lower,
     entropy_upper,
     expand,
+    faultfree,
+    from_faultfree,
     make_tileset,
     parse_polyomino,
     parse_tile_file,
@@ -270,19 +272,18 @@ def test_independent_routes_agree_on_random_tile_sets(shapes, symmetry, width):
         return
     step, r0 = len(classes), len(classes[0])
     assert detect_step(prefix) == step
-    # strip_gf's gcd in RationalGF grows steeply with the order, which can come
-    # near r0: the L-tetromino and I-pentomino under rotations at width 4 (r0 =
-    # 500, order 445) take a minute, as does domino plus I-pentomino (r0 = 625,
-    # order 320).  Below r0 = 500 these tile sets reach no start class past 389
-    # states, and the slowest gf, r0 = 242 with order 216, takes about 3 s, so
-    # the gf routes run on start classes of up to 499 states, and the r0 path,
-    # whose exact Berlekamp-Massey always reads 2 r0 + 2 terms, up to 200
-    if r0 > 499:
-        return
+    # every tile set this strategy can draw has a start class of at most 625 states, so
+    # every gf route runs: the largest, the L-tetromino and I-pentomino under rotations at
+    # width 4 (r0 = 500, order 445) and domino plus I-pentomino (r0 = 625, order 320),
+    # take about a second each.  RationalGF's gcd, which strip_gf's proved gf skips, takes
+    # seconds to a minute past r0 = 200 on these sets, as does the r0 path, whose exact
+    # Berlekamp-Massey always reads 2 r0 + 2 terms: both are checked up to r0 = 200
     g = strip_gf(auto)
     assert g.step == step
     if r0 <= 200:
         assert g == r0_path(auto)
+        for h in (g, faultfree(g), from_faultfree(faultfree(g))):
+            assert h == RationalGF(h.num, h.den, h.step)
     assert expand(g, 30) == list(series(auto, 30 * step).terms[::step])
     assert perron_root(auto) ** step == pytest.approx(dominant_root(g), rel=1e-9, abs=0)
 
