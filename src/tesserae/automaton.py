@@ -37,7 +37,7 @@ class NoTilingsError(ValueError):
 
 
 # Checked as each profile is found.  tetromino-L width 9 (23728 states) builds in
-# 0.4 s on one Xeon core (CPython 3.11); domino width 18 would be 48620, 3.3 s, 200 MB.
+# 0.2-0.3 s on one Xeon core (CPython 3.11); domino width 18 would be 48620, 2.3-2.9 s, 200 MB.
 MAX_STATES = 25_000
 # build_automaton's fill recurses once per placement in a column, brute_force_count
 # once per tile placed: wider strips, or rectangles of more cells, are refused
@@ -99,7 +99,7 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     Profiles are discovered lazily from the all-empty start profile, never
     enumerated wholesale; finding more than MAX_STATES raises StateBudgetError,
     as does a width past MAX_WIDTH, before any placement is built.
-    Variants taller than the strip are dropped; the result is trimmed.
+    Variants taller than the strip are dropped; the result is trimmed as it is built.
     """
     if width < 1:
         raise AutomatonError("strip width must be at least 1")
@@ -120,7 +120,7 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     full = (1 << width) - 1
     index = {0: 0}  # leaving profile (window >> width) -> state number
     profiles = [0]
-    edges = []
+    rows: list[dict[int, int]] = []
 
     def fill(window: int) -> None:
         col0 = window & full
@@ -140,9 +140,9 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     for profile in profiles:  # grows while it is walked
         counts: dict[int, int] = {}
         fill(profile)
-        edges.append(tuple(sorted(counts.items())))
+        rows.append(counts)
 
-    return trim_reachable(TransferAutomaton(width, reach, tuple(profiles), tuple(edges)))
+    return _trimmed(width, reach, tuple(profiles), rows)
 
 
 def _sweep(a: TransferAutomaton, classes: list) -> Iterator[list[int]]:
@@ -308,36 +308,41 @@ def series(a: TransferAutomaton, length: int) -> CountSeries:
     return CountSeries(width=a.width, terms=tuple(terms))
 
 
-def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
-    """Drop states that cannot lie on any start-to-start path.
+def _closure(adj: list) -> set[int]:
+    seen, stack = {0}, [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
-    Keeps exactly the states reachable from state 0, the start, and
-    co-reachable back to it, renumbered monotonically; every count N(n) is
-    unchanged.  Returns a itself when every state is kept, as for whatever
-    build_automaton returns, which it trims; public for hand-built automata.
-    """
-    fwd = [[j for j, _ in out] for out in a.edges]
-    back: list[list[int]] = [[] for _ in fwd]
-    for i, targets in enumerate(fwd):
-        for j in targets:
+
+def _trimmed(width: int, reach: int, states: tuple, rows: list) -> TransferAutomaton:
+    # rows[i] is state i's {target: ways}, each state with a row reached from state 0: keeps the
+    # states that reach it again, by one backward search, renumbered ascending, and sorts their rows
+    back: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
             back[j].append(i)
+    keep = sorted(_closure(back))
+    if len(keep) < len(rows):
+        renumber = dict(zip(keep, range(len(keep))))
+        rows = [{renumber[j]: w for j, w in rows[i].items() if j in renumber} for i in keep]
+        states = tuple(states[i] for i in keep)
+    return TransferAutomaton(width, reach, states, tuple(tuple(sorted(r.items())) for r in rows))
 
-    def closure(adj: list[list[int]]) -> set[int]:
-        seen, stack = {0}, [0]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
 
-    keep = sorted(closure(fwd) & closure(back))
-    if len(keep) == len(a.states):
-        return a
-    renumber = {i: k for k, i in enumerate(keep)}  # monotone, so edges stay ascending
-    edges = tuple(tuple((renumber[j], w) for j, w in a.edges[i] if j in renumber) for i in keep)
-    states = tuple(a.states[i] for i in keep)
-    return TransferAutomaton(a.width, a.reach, states, edges)
+def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
+    """Drop the states of a hand-built automaton that lie on no start-to-start path.
+
+    Keeps the states reachable from state 0, the start, and co-reachable back to it, renumbered
+    ascending, or a itself when that is all; N(n) is unchanged.  build_automaton trims as it builds.
+    """
+    reached = _closure([[j for j, _ in out] for out in a.edges])
+    rows = [dict(out) if i in reached else {} for i, out in enumerate(a.edges)]
+    trimmed = _trimmed(a.width, a.reach, a.states, rows)
+    return a if len(trimmed.states) == len(a.states) else trimmed
 
 
 def brute_force_count(tiles: TileSet, width: int, length: int) -> int:

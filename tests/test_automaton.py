@@ -340,7 +340,9 @@ def test_sparse_trim_keeps_dense_era_dot():
 # First 16 hex digits of the SHA-256 of to_dot of the automaton, the bytes
 # automaton-dot prints, recorded from the earlier build that returned the raw
 # automaton, trimmed by trim_reachable; the labels pin every profile and the
-# node order pins the numbering.  None: no variant fits the width.
+# node order pins the numbering.  None: no variant fits the width.  tetromino-T
+# widths 12 and 20 and tetromino-L width 9, the cases with the most dead
+# profiles, were recorded before the build did its own trim.
 DOT_DIGESTS = {
     ("monomino", 1): "42205d2400754326",
     ("monomino", 2): "42205d2400754326",
@@ -382,7 +384,10 @@ DOT_DIGESTS = {
     ("tetromino-T", 6): "df658af82f254f1d",
     ("tetromino-T", 7): "e8b2d354743ee749",
     ("tetromino-T", 8): "1f0371c5981a1829",
+    ("tetromino-T", 12): "8b507b6b6c9274f0",
     ("tetromino-T", 16): "0a8185192059bbbe",
+    ("tetromino-T", 20): "1729031e62c7999f",
+    ("tetromino-L", 9): "c5031055291284cb",
     ("domino", 12): "46a408f6b82c8dd1",
 }
 
@@ -395,6 +400,57 @@ def test_raw_automaton_numbering_pinned(name, width):
         return
     dot = to_dot(build_automaton(preset(name), width))
     assert hashlib.sha256(dot.encode()).hexdigest()[:16] == DOT_DIGESTS[name, width]
+
+
+def untrimmed(tiles, width):
+    """build_automaton's fill loop without its trim: every profile found from the start,
+    dead ones included, in discovery order.  The reference that trim_reachable trims."""
+    variants = [v for v in tiles.variants if v.height <= width]
+    placements = [[] for _ in range(width)]
+    for v in variants:
+        lead = min(r for r, c in v.cells if c == 0)
+        mask = sum(1 << (c * width + r) for r, c in v.cells)
+        for s in range(width - v.height + 1):
+            placements[lead + s].append(mask << s)
+    full, index, profiles, edges = (1 << width) - 1, {0: 0}, [0], []
+
+    def fill(window, counts):
+        col0 = window & full
+        if col0 == full:
+            j = index.setdefault(window >> width, len(profiles))
+            if j == len(profiles):
+                profiles.append(window >> width)
+            counts[j] = counts.get(j, 0) + 1
+            return
+        for mask in placements[((col0 + 1) & ~col0).bit_length() - 1]:
+            if not mask & window:
+                fill(window | mask, counts)
+
+    for profile in profiles:  # grows while it is walked
+        counts = {}
+        fill(profile, counts)
+        edges.append(tuple(sorted(counts.items())))
+    reach = max(v.width for v in variants) - 1
+    return TransferAutomaton(width, reach, tuple(profiles), tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "name, width", [(n, w) for n in PRESET_NAMES for w in range(1, 9)] + [("tetromino-T", 16)]
+)
+def test_build_trims_as_trim_reachable_does(name, width):
+    # the build trims as it builds; trim_reachable of the untrimmed automaton is the
+    # independent route to the same states, numbering and edges
+    try:
+        auto = build_automaton(preset(name), width)
+    except AutomatonError:  # no variant fits the width: DOT_DIGESTS pins the refusal
+        return
+    assert trim_reachable(untrimmed(preset(name), width)) == auto
+
+
+def test_untrimmed_reference_has_dead_profiles():
+    # tetromino-T width 16 discovers 2710 profiles, 2020 of them dead
+    raw = untrimmed(preset("tetromino-T"), 16)
+    assert (len(raw.states), len(trim_reachable(raw).states)) == (2710, 690)
 
 
 # the same digests for the code block under README's "Tile files" heading, a
@@ -479,6 +535,7 @@ def test_automaton_matches_oracle_on_random_tile_sets(shapes, symmetry, width):
         assert all(v.height > width for v in tiles.variants)
         return
     assert trim_reachable(auto) is auto
+    assert trim_reachable(untrimmed(tiles, width)) == auto
     counts = series(auto, 64 // width).terms
     assert counts[0] == 1
     for length, count in enumerate(counts[1:], start=1):

@@ -203,6 +203,48 @@ class TestFaultfree:
             assert from_faultfree(faultfree(g)) == g
 
 
+# 2^31 - 1.  By Gauss's lemma a common factor of num and den over the rationals is an integer
+# polynomial whose leading coefficient divides both of theirs; mod a prime that divides
+# neither it keeps its degree, so a gcd mod that prime of degree 0 proves them coprime
+GCD_PRIME = 2147483647
+
+
+def _stripped_mod(p):
+    p = [c % GCD_PRIME for c in p]
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def gcd_mod(p, q):
+    """A gcd mod GCD_PRIME of two integer polynomials, lowest degree first: [] for zero."""
+    a, b = _stripped_mod(p), _stripped_mod(q)
+    while b:
+        inv = pow(b[-1], -1, GCD_PRIME)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % GCD_PRIME, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            a = _stripped_mod(a)
+        a, b = b, a
+    return a
+
+
+def coprime_mod_p(num, den):
+    """Whether den(0) = 1, both leading coefficients are nonzero and prime to GCD_PRIME, and
+    the gcd mod GCD_PRIME is a nonzero constant: then num and den are coprime over ℚ."""
+    lead_ok = num[-1] % GCD_PRIME and den[-1] % GCD_PRIME
+    return den[0] == 1 and bool(lead_ok) and len(gcd_mod(num, den)) == 1
+
+
+def assert_lowest_terms(h):
+    # h == RationalGF(h.num, h.den, h.step), which runs poly_gcd: about 35 s for a den of
+    # 201 terms, so past 100 terms coprime_mod_p stands in for it where it proves anything
+    if len(h.den) > 100 and coprime_mod_p(h.num, h.den):
+        return
+    assert h == RationalGF(h.num, h.den, h.step)
+
+
 class TestNormalization:
     def test_reduction_on_construction(self):
         # num and den share the factor (1 - z)
@@ -223,8 +265,8 @@ class TestNormalization:
 
     def test_coprime_after_operations(self):
         # the gfs that strip_gf proves, faultfree and from_faultfree skip RationalGF's gcd:
-        # reducing them again changes nothing.  tetromino-L width 8 (order 200) spends
-        # about 35 s in each of its two gcds here; the third h equals g
+        # reducing them again changes nothing.  tetromino-L width 8 (order 200) is checked
+        # mod GCD_PRIME; the third h equals g
         from tesserae import AutomatonError
 
         gfs = list(PAPER_GFS)
@@ -234,10 +276,25 @@ class TestNormalization:
                     gfs.append(strip_gf(build_automaton(preset(name), width)))
                 except (AutomatonError, NoTilingsError):
                     continue
+        assert max(len(g.den) for g in gfs) == 201
         for g in gfs:
             for h in (g, faultfree(g)):
-                assert h == RationalGF(h.num, h.den, h.step)
+                assert_lowest_terms(h)
             assert from_faultfree(faultfree(g)) == g
+
+    def test_coprime_mod_p_catches_a_planted_factor(self):
+        g = strip_gf(build_automaton(preset("tetromino-L"), 8))
+        for h in (g, faultfree(g)):
+            assert len(h.den) > 100 and coprime_mod_p(h.num, h.den)
+            for factor in ((1, 2), (1, -1, 3), (1, 0, 0, 5)):
+                assert not coprime_mod_p(_mul(h.num, factor), _mul(h.den, factor))
+            # a leading coefficient that GCD_PRIME divides proves nothing
+            assert not coprime_mod_p(_mul(h.num, (1, GCD_PRIME)), _mul(h.den, (1, 1)))
+        # up to 100 den terms the exact check runs, and a planted factor fails it
+        planted = gf._coprime(_mul(ELL4.num, (1, 2)), _mul(ELL4.den, (1, 2)), ELL4.step)
+        with pytest.raises(AssertionError):
+            assert_lowest_terms(planted)
+        assert_lowest_terms(ELL4)
 
     def test_derived_gfs_skip_the_gcd(self, monkeypatch):
         # strip_gf's proved exit, faultfree and from_faultfree call no gcd; the exact route
