@@ -46,9 +46,7 @@ MAX_WIDTH = 512
 # brute_force_count's memo of partial fillings, checked before each is searched: domino
 # 16x16 fills it in 0.8 s and 44 MB on one Xeon core, the 12 pentominoes (63 variants) in 9 s.
 MAX_ORACLE_STATES = 1 << 18
-# the 14 largest primes below 2^31, for the recurrence proposer of _certified
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
-           2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323)
+_PRIMES = [2147483647]  # 2^31 - 1 and the primes below it that _primes has drawn, descending
 
 
 @dataclass(frozen=True)
@@ -210,38 +208,54 @@ def _registers(terms: list[int], p: int) -> Iterator[list[int]]:
         yield c
 
 
-def _lift(terms: list[int], c: list[int]) -> tuple[int, ...]:
-    # (c1, ..., cL) from c, the register of the terms mod _PRIMES[0], lifted by symmetric CRT
-    # with the register mod each further prime until two lifts agree, a prime with another L
-    # starting over; () when the primes run out
+def _primes() -> Iterator[int]:
+    # _PRIMES, then each next prime below its last, appended as it is drawn: an odd q that is a
+    # strong probable prime to bases 2, 7 and 61, which is exact below 4 759 123 141 (Jaeschke)
+    for n, p in enumerate(_PRIMES):  # grows while it is walked
+        yield p
+        q = p
+        while n + 1 == len(_PRIMES):
+            q -= 2
+            s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d 2^s, d = q >> s odd
+            if all(pow(b, q >> s, q) == 1 or q - 1 in [pow(b, q >> s << i, q) for i in range(s)]
+                   for b in (2, 7, 61)):
+                _PRIMES[n + 1:n + 2] = [q]  # not append: racing threads store one q in one slot
+
+
+def _lift(terms: list[int], c: list[int], rho: int) -> tuple[int, ...] | None:
+    # (c1, ..., cL) from c, the register of the terms mod _PRIMES[0], lifted by symmetric CRT with
+    # the register mod each further prime, one with another L starting over; checked on every term
+    # at its first prime, when two lifts agree and past the caller's cap 2 (1 + rho)^L: None there
     lift, modulus = [], 1
-    for i, p in enumerate(_PRIMES):
+    for i, p in enumerate(_primes()):
         if i:
             c = deque(_registers(terms, p), maxlen=1)[0]
         if len(c) != len(lift):
-            lift, modulus = [0] * len(c), 1
+            lift, modulus, cap = [0] * len(c), 1, 2 * (1 + rho) ** (len(c) - 1)
         inv, m = pow(modulus, -1, p), modulus * p
         new = [(u + modulus * inv * (v - u) + m // 2) % m - m // 2 for u, v in zip(lift, c)]
-        if new == lift:
-            return tuple(-x for x in lift[1:])
+        coeffs = tuple(-x for x in new[1:])
+        if (modulus == 1 or new == lift or m > cap) and _vanishes(
+                [terms[s:s + len(terms) + 1 - len(c)] for s in range(len(c))], coeffs):
+            return coeffs
+        if m > cap:
+            return None
         lift, modulus = new, m
-    return ()
 
 
 def _certified(a: TransferAutomaton, classes: list, n: int | None = None,
                most: int | None = None) -> Iterator[int]:
     # N(k t) = x_t[0] for t = 0..n, without end when n is None, from the sweep x_t = e0 B^t,
-    # B = A^k, k = len(classes): the one loop of series, count_rect and strip_gf.  Each
-    # count goes to a Berlekamp-Massey register mod _PRIMES[0], tried once its length L has
-    # 2 L <= t, where an unsettled register never is, and again when it has changed or t + 1
-    # has doubled since the last try.  A try lifts it by _lift; the candidate holds for every
-    # t once it holds on every count so far and its residual x_t - c1 x_{t-1} - ... - cd
-    # x_{t-d} over the start class is the zero vector, as each later one is this one times a
-    # power of B, and the generator returns it with the counts.  Tries stop, and the sweep
-    # runs on alone, once 2 t >= n or L > most
+    # B = A^k, k = len(classes): the one loop of series, count_rect and strip_gf.  The counts'
+    # register mod _PRIMES[0] goes to _lift, which checks every count, once its length L has
+    # 2 L <= t, and again when it has changed or t + 1 has doubled; the lift holds for every t,
+    # and is returned with the counts, once its residual x_t - c1 x_{t-1} - ... - cd x_{t-d} over
+    # the start class is zero, as each later one is this one times B^s.  Tries stop once 2 t >= n
+    # or L > most.  The cap: den divides det(I - z B) on the start class, so it is d <= L factors
+    # 1 - m z, m an eigenvalue of B, |m| <= rho = (max row sum of A)^k, and |ci| < (1 + rho)^L
     k, start = len(classes), classes[0]
     sweep = islice(_sweep(a, classes), 0, None if n is None else k * n + 1, k)
-    terms, window, tried, since = [], [], None, 0
+    terms, window, tried, since, rho = [], [], None, 0, None
     registers = _registers(terms, _PRIMES[0])
     for t, x in enumerate(sweep):
         yield x[0]
@@ -253,11 +267,9 @@ def _certified(a: TransferAutomaton, classes: list, n: int | None = None,
         del window[:-len(c) - 1]  # x_{t-L-1}..x_t
         if 2 * len(c) <= t + 2 and (c is not tried or t + 1 >= 2 * since):  # 2 L <= t
             tried, since = c, t + 1
-            coeffs = _lift(terms, c)
-            d = len(coeffs)
-            if 0 < d < len(window) and _vanishes(
-                    [terms[s:s + t + 1 - d] for s in range(d + 1)], coeffs) and _vanishes(
-                    window, coeffs):
+            rho = rho or max(sum(w for _, w in row) for row in a.edges) ** k
+            coeffs = _lift(terms, c, rho)
+            if coeffs is not None and len(coeffs) < len(window) and _vanishes(window, coeffs):
                 return coeffs, terms
     del terms, window, registers  # for count_rect, which then holds one vector at any length
     yield from map(itemgetter(0), sweep)

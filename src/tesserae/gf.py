@@ -1,6 +1,6 @@
 """Exact linear recurrences and rational generating functions.
 
-Everything here is integer arithmetic, fraction-free; no floating point.
+Everything here is exact integer arithmetic; no floating point.
 Polynomials are tuples of coefficients in ascending powers of z.
 """
 
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
+from . import automaton
 # NoTilingsError: strip_gf raises it through _cyclic_classes, and callers import it from here
 from .automaton import NoTilingsError, TransferAutomaton, _certified, _cyclic_classes, series
 
@@ -143,38 +144,27 @@ class LinearRecurrence:
 def infer_recurrence(terms) -> LinearRecurrence:
     """Minimal integer linear recurrence of the terms, by Berlekamp-Massey.
 
-    Berlekamp-Massey over ℤ, fraction-free, finds the shortest linear feedback
-    shift register that generates every given term: the linear complexity L
-    and the connection polynomial C = 1 - c1 z - ... - cd z^d, d <= L.  The
-    recurrence a[t] = c1 a[t-1] + ... + cd a[t-d] then holds for t >= L,
-    which is reported as valid_from, so transients are allowed.  It is
-    accepted only when C is integral and at least order + 2 terms lie past
-    L.  The margin always holds when L <= len(terms) / 2 - 1, which also
-    makes C the unique minimal connection polynomial of the terms.  C and
-    the last-length-change register B are carried up to scale: each update
-    cross-multiplies by the two discrepancies and divides out the content,
-    and C is divided by C(0) once at the end.
+    The shortest linear feedback shift register that generates every term
+    has length L, the linear complexity, and connection polynomial C = 1 -
+    c1 z - ... - cd z^d, d <= L: a[t] = c1 a[t-1] + ... + cd a[t-d] holds
+    for t >= L, reported as valid_from.  It is accepted only when C is
+    integral and order + 2 terms lie past L, as always when L <= len(terms)
+    / 2 - 1.  C is lifted from a word prime, with rho = n max|a| for n
+    terms: once n - L >= d, c1..cd are the one solution at t = L..n-1
+    (Massey's lemma), so by Cramer and Hadamard an integral |ci| <= rho^d.
     """
     a = [int(x) for x in terms]
-    c, b, length, gap, b_disc = (1,), (1,), 0, 1, 1
-    for n in range(len(a)):
-        disc = sum(map(mul, c, a[n::-1]))
-        if disc:
-            nxt = [b_disc * x for x in c] + [0] * (len(b) + gap - len(c))
-            for j, x in enumerate(b, gap):
-                nxt[j] -= disc * x
-            if 2 * length <= n:
-                length, b, b_disc, gap = n + 1 - length, c, disc, 0
-            c = _primitive(nxt)
-        gap += 1
-    poly = _strip(c)
-    n, order = len(a), len(poly) - 1
-    if n - length < order + 2 or any(x % poly[0] for x in poly):
+    n, c, lift = len(a), [[1], *automaton._registers(a, automaton._PRIMES[0])][-1], None
+    if n - len(c) >= len(_strip(c)):  # the margin on the residues, before any lift
+        lift = automaton._lift(a, c, n * max(map(abs, a)))
+    coeffs = c[1:] if lift is None else lift
+    length, order = len(coeffs), len(_strip(coeffs))
+    if lift is None or n - length < order + 2:
         raise RecurrenceError(
             f"{n} terms leave {n - length} past the linear complexity {length}, "
             f"too few to check an order-{order} integer recurrence; supply a longer series"
         )
-    return LinearRecurrence(order, tuple(-x // poly[0] for x in poly[1:]), length)
+    return LinearRecurrence(order, lift[:order], length)
 
 
 def recurrence_to_gf(rec: LinearRecurrence, terms, step: int = 1) -> RationalGF:
@@ -233,17 +223,15 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
     States at BFS level c mod k form cyclic class c, which a column step maps
     into class c + 1; a[t] = N(k t) is read off B = A^k restricted to the
     start's class of r0 states, so its linear complexity L is at most r0 by
-    Cayley-Hamilton.  The counts come from automaton's certified sweep, the
-    one that series and count_rect read, which proves a recurrence a[t] =
-    c1 a[t-1] + ... + cd a[t-d] for every t.  Then den = 1 - c1 z - ... -
-    cd z^d and num = den (a[0] + a[1] z + ...) mod z^d are coprime: the gf
-    in lowest terms has an integral den (Fatou's lemma), a recurrence of the
-    least length L_Q, which reduces mod p, so the register mod p has d = L_p
-    <= L_Q, and the proved recurrence gives L_Q <= d; a common factor of
-    degree e would generate the counts with complexity d - e.  At 2 r0 + 2
-    counts with none proved, or at once below r0 = 16 through series, the
-    exact infer_recurrence takes them (2 r0 fix the fit, two more meet its
-    margin) and recurrence_to_gf reduces.
+    Cayley-Hamilton.  The certified sweep of automaton proves a recurrence
+    a[t] = c1 a[t-1] + ... + cd a[t-d] for every t.  Then den = 1 - c1 z -
+    ... - cd z^d and num = den (a[0] + a[1] z + ...) mod z^d are coprime:
+    the gf in lowest terms has an integral den (Fatou's lemma), a recurrence
+    of the least length L_Q, which reduces mod p, so the register mod p has
+    d = L_p <= L_Q, and the proved recurrence gives L_Q <= d; a common factor
+    of degree e would generate the counts with complexity d - e.  At 2 r0 +
+    2 counts with none proved, or below r0 = 16 through series, the same
+    register and lift, in infer_recurrence, and recurrence_to_gf take them.
     """
     classes = _cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])

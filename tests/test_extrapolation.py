@@ -7,7 +7,11 @@ import contextlib
 import functools
 import io
 import json
+import sys
+import threading
+from collections import deque
 from itertools import islice
+from math import prod
 
 import mpmath
 import pytest
@@ -16,12 +20,15 @@ from hypothesis import strategies as st
 
 from tesserae import (
     AutomatonError,
+    LinearRecurrence,
     NoTilingsError,
+    RecurrenceError,
     TransferAutomaton,
     automaton,
     build_automaton,
     count_rect,
     dominant_root,
+    expand,
     gf,
     infer_recurrence,
     parse_tile_file,
@@ -30,7 +37,7 @@ from tesserae import (
     series,
     strip_gf,
 )
-from tesserae.automaton import _cyclic_classes, _lift, _sweep
+from tesserae.automaton import _cyclic_classes, _lift, _primes, _registers, _sweep
 from tesserae.cli import main
 from tesserae.poly import PRESETS
 from tesserae.spectral import PERRON_TOL
@@ -71,8 +78,8 @@ def proposals(monkeypatch):
     # every recurrence _lift returns, with the terms it was given
     log = []
 
-    def logging(terms, c):
-        coeffs = _lift(terms, c)
+    def logging(terms, c, rho):
+        coeffs = _lift(terms, c, rho)
         log.append((list(terms), coeffs))
         return coeffs
 
@@ -120,10 +127,11 @@ def test_counts_equal_the_plain_sweep_past_certification(swept, name):
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 2)])
 def test_word_primes_only_propose(monkeypatch, proposals, primes):
-    # with tiny primes the lifts rarely agree, and (3, 2) lifts wrong recurrences
-    # that the exact checks reject: every count stays exact, and strip_gf, whose
-    # lifts all fail here, takes the exact 2 r0 + 2 terminal and the r0 path's gf
-    monkeypatch.setattr(automaton, "_PRIMES", primes)
+    # tiny primes first, then the primes _primes draws below 2^31 - 1: the tiny registers
+    # propose wrong lengths and lifts that the exact checks reject, so every count stays
+    # exact, every lift returned holds on its counts, and strip_gf gives the r0 path's gf,
+    # from the 2 r0 + 2 terminal or, past the r0 < 16 route, from a proof
+    monkeypatch.setattr(automaton, "_PRIMES", [*primes, 2**31 - 1])
     terminal = []
     monkeypatch.setattr(gf, "infer_recurrence",
                         lambda terms: terminal.append(len(terms)) or infer_recurrence(terms))
@@ -142,9 +150,99 @@ def test_word_primes_only_propose(monkeypatch, proposals, primes):
                     continue
                 assert g == r0_path(auto), (name, width)
                 r0 = len(_cyclic_classes(auto)[0])
-                assert terminal == [2 * r0 + 2], (name, width)
-    wrong = [c for terms, c in proposals if c and not holds(terms, c)]
-    assert bool(wrong) == (primes == (3, 2))
+                assert terminal == [2 * r0 + 2] or r0 >= 16 and not terminal, (name, width)
+    assert all(holds(terms, c) for terms, c in proposals if c is not None)
+    assert any(c is None for _, c in proposals)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    # how many primes _lift draws, the first included
+    count = [0]
+
+    def counting():
+        for p in _primes():
+            count[0] += 1
+            yield p
+
+    monkeypatch.setattr(automaton, "_primes", counting)
+    return count
+
+
+def test_primes_are_the_primes_below_2_31_descending(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(automaton, "_PRIMES", [2**31 - 1])
+    want = sorted(sympy.primerange(2**31 - 50_000, 2**31), reverse=True)[:2000]
+    assert len(want) == 2000
+    assert list(islice(_primes(), 2000)) == want
+    assert automaton._PRIMES == want  # drawn once: a second walk reads the cache
+    assert list(islice(_primes(), 2000)) == want
+
+
+def test_threads_drawing_primes_at_once_share_one_cache(monkeypatch):
+    # _PRIMES is one cache for the process: threads that extend it at once, switching every
+    # microsecond, must neither skip nor repeat a prime
+    monkeypatch.setattr(automaton, "_PRIMES", [2**31 - 1])
+    want = list(islice(_primes(), 300))
+    monkeypatch.setattr(automaton, "_PRIMES", [2**31 - 1])
+    got = [None] * 8
+
+    def draw(i):
+        got[i] = list(islice(_primes(), 300))
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 8 and automaton._PRIMES == want
+
+
+def lift(terms):
+    # _lift as infer_recurrence calls it: the register mod the first prime, rho = n max|a|
+    c = deque(_registers(terms, automaton._PRIMES[0]), maxlen=1)[0]
+    return _lift(terms, c, len(terms) * max(map(abs, terms))), len(c) - 1
+
+
+def test_lift_settles_a_1000_bit_coefficient(drawn):
+    # a(t) = r a(t-1) - a(t-2): 14 primes, whose product has 434 bits, lift no 1000-bit r
+    r = 2**1000 + 297
+    terms = [1, r]
+    while len(terms) < 8:
+        terms.append(r * terms[-1] - terms[-2])
+    assert lift(terms) == ((r, -1), 2)
+    assert drawn[0] == 34  # 33 primes of 31 bits pass 2 r, a 34th confirms the lift
+    assert infer_recurrence(terms) == LinearRecurrence(2, (r, -1), 2)
+
+
+def test_lift_of_a_non_integral_register_ends_at_the_cap(drawn):
+    # a(t) = (2^100 + 1)^t 3^(10-t): the register 1 - (2^100 + 1) / 3 z is not integral, so no
+    # lift holds, and _lift gives None at the first prime that takes the modulus past the cap
+    terms = [(2**100 + 1) ** t * 3 ** (10 - t) for t in range(11)]
+    coeffs, length = lift(terms)
+    cap = 2 * (1 + len(terms) * max(terms)) ** length
+    primes = list(islice(_primes(), drawn[0]))
+    assert coeffs is None and length == 1
+    assert prod(primes[:-1]) <= cap < prod(primes)
+    with pytest.raises(RecurrenceError, match="11 terms leave 10 past the linear complexity 1"):
+        infer_recurrence(terms)
+
+
+def test_strip_gf_past_the_fourteen_prime_wall():
+    # tromino-right width 11: a den of 277 terms with 641-bit coefficients, which the
+    # 14 primes below 2^31 once capped; checked against the sweep and the Perron root
+    auto = build_automaton(preset("tromino-right"), 11)
+    g = strip_gf(auto)
+    assert (len(g.den), g.step) == (277, 3)
+    assert max(abs(c) for c in g.den).bit_length() == 641
+    assert expand(g, 40) == list(series(auto, 120).terms[::3])
+    assert dominant_root(g) ** (1 / 3) == pytest.approx(perron_root(auto), rel=1e-12)
 
 
 def test_residual_rejects_a_fit_of_the_prefix_only(proposals):

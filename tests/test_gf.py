@@ -430,11 +430,12 @@ def test_cyclic_classes_partition_and_advance_every_preset_width():
 
 def r0_path(auto):
     # strip_gf's certificate before short prefixes: Berlekamp-Massey on the
-    # 2 r0 + 2 resampled terms, certified by Cayley-Hamilton alone
+    # 2 r0 + 2 resampled terms, certified by Cayley-Hamilton alone, by the
+    # fraction-free reference, which uses no prime
     classes = _cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])
     a = series(auto, k * (2 * r0 + 1)).terms[::k]
-    return recurrence_to_gf(infer_recurrence(a), a, step=k)
+    return recurrence_to_gf(massey_from_scratch(a), a, step=k)
 
 
 def _digest(g):
@@ -587,7 +588,17 @@ def non_integral(draw):
     return [sum(m * p**t * q ** (n - t) for p, m in parts) for t in range(n + 1)]
 
 
-sequences = st.one_of(gf_expansions(), st.lists(st.integers(-50, 50), max_size=24), non_integral())
+@st.composite
+def wide_expansions(draw):
+    # den coefficients past 434 bits, the product of the 14 primes the lift once stopped at
+    wide = st.sampled_from([2**700, -(3**450), 2**1000 + 297]) | st.integers(-(2**700), 2**700)
+    g = RationalGF(tuple(draw(st.lists(small_ints, min_size=1, max_size=3))),
+                   (1, *draw(st.lists(wide | small_ints, min_size=1, max_size=3))), 1)
+    return expand(g, draw(st.integers(0, 12)))
+
+
+sequences = st.one_of(gf_expansions(), st.lists(st.integers(-50, 50), max_size=24), non_integral(),
+                      wide_expansions())
 
 
 @settings(deadline=None, max_examples=150)
