@@ -36,8 +36,9 @@ class NoTilingsError(ValueError):
     """No closed walk returns to the start: every term past n = 0 is zero, so no step exists."""
 
 
-# Checked as each profile is found.  tetromino-L width 9 (23728 states) builds in
-# 0.2-0.3 s on one Xeon core (CPython 3.11); domino width 18 would be 48620, 2.3-2.9 s, 200 MB.
+# Checked as each profile is found, both profiles of a mirror pair when the build lumps
+# them.  tetromino-L width 9 (23728 states) builds in 0.2-0.3 s on one Xeon core
+# (CPython 3.11); domino width 18 would be 48620, 2.3-2.9 s, 200 MB.
 MAX_STATES = 25_000
 # build_automaton's fill recurses once per placement in a column, brute_force_count
 # once per tile placed: wider strips, or rectangles of more cells, are refused
@@ -60,12 +61,22 @@ class TransferAutomaton:
     connected.  edges[i] holds the (j, ways) pairs, j ascending and ways > 0,
     for the ways to fill one column from states[i] to states[j]: the nonzero
     entries of the transfer matrix A, and (A^n)[0][0] counts m x n rectangles.
+
+    sizes is empty unless the build lumped mirror pairs (build_automaton's mirror):
+    then state i stands for sizes[i] profiles, states[i] and its mirror image when
+    that differs, and edges[i] holds one (j, ways) pair for each profile that
+    states[i] steps to, so a target j can repeat.  The quotient's entry Q[i][j], the
+    ways from either profile of state i into the profiles of state j, is the same from
+    both, so e0 A^n summed over the profiles of each state is e0 Q^n: it keeps every
+    N(n), the step and the Perron root.  The full automaton has sum(sizes) states and
+    the sum of sizes[i] * len(edges[i]) nonzeros.
     """
 
     width: int
     reach: int
     states: tuple[int, ...]
     edges: tuple[tuple[tuple[int, int], ...], ...]
+    sizes: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,7 @@ def _profile_label(packed: int, width: int, reach: int) -> str:
     return "/".join(cells[i::width] for i in range(width))
 
 
-def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
+def build_automaton(tiles: TileSet, width: int, mirror: bool = False) -> TransferAutomaton:
     """Compile a tile set and strip width into a transfer automaton.
 
     One transition fills the leftmost incomplete column cell by cell, top to
@@ -98,26 +109,46 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
     enumerated wholesale; finding more than MAX_STATES raises StateBudgetError,
     as does a width past MAX_WIDTH, before any placement is built.
     Variants taller than the strip are dropped; the result is trimmed as it is built.
+
+    With mirror set, and the fitting variants closed under the row flip r -> height - 1 - r,
+    the transfer matrix commutes with the mirror across the strip's midline, which fixes
+    the start: each profile found is lumped with its mirror image into one state, and only
+    the first found of the two is filled (an exact lumping, see TransferAutomaton).
+    MAX_STATES still counts both, so a refusal comes exactly where the full build's does.
     """
     if width < 1:
         raise AutomatonError("strip width must be at least 1")
     if width > MAX_WIDTH:
         raise StateBudgetError(f"width {width} exceeds the {MAX_WIDTH}-row strip budget")
-    variants = [v for v in tiles.variants if v.height <= width]
+    variants = [(v.cells, h) for v in tiles.variants if (h := v.height) <= width]
     if not variants:
         raise AutomatonError(f"no tile variant fits in a strip of width {width}")
-    reach = max(v.width for v in variants) - 1
+    reach = max(c for cells, _ in variants for _, c in cells)
 
     placements: list[list[int]] = [[] for _ in range(width)]
-    for v in variants:
-        lead = min(r for r, c in v.cells if c == 0)  # anchor row when v touches row 0
-        mask = sum(1 << (c * width + r) for r, c in v.cells)
-        for s in range(width - v.height + 1):
+    masks, flips = set(), set()  # each variant's mask at row 0, and its row flip's
+    for cells, height in variants:
+        lead = min(r for r, c in cells if c == 0)  # anchor row when the variant touches row 0
+        mask = sum(1 << (c * width + r) for r, c in cells)
+        for s in range(width - height + 1):
             placements[lead + s].append(mask << s)
+        if mirror:
+            masks.add(mask)
+            flips.add(sum(1 << (c * width + height - 1 - r) for r, c in cells))
+    mirror = mirror and flips == masks
+    if mirror:
+        # in a profile's binary digits, each run of width is one column: cut each one reversed
+        spec = f"0{reach * width}b"
+        cuts = [slice(width * (j + 1) - 1, width * j - 1 if j else None, -1)
+                for j in range(reach)]
+
+        def flip(profile: int) -> int:  # each column's rows reversed
+            bits = format(profile, spec)
+            return int("".join([bits[cut] for cut in cuts]), 2)
 
     full = (1 << width) - 1
-    index = {0: 0}  # leaving profile (window >> width) -> state number
-    profiles = [0]
+    index = {0: 0}  # leaving profile (window >> width) -> state number, ~number for a mirror twin
+    profiles, sizes = [0], [1]
     rows: list[dict[int, int]] = []
 
     def fill(window: int) -> None:
@@ -125,10 +156,15 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
         if col0 == full:
             j = index.get(window >> width)
             if j is None:
-                if len(profiles) == MAX_STATES:
+                leaving = window >> width
+                j = index[leaving] = len(profiles)
+                profiles.append(leaving)
+                if mirror:
+                    twin = flip(leaving)
+                    sizes.append(1 + (twin != leaving))
+                    index.setdefault(twin, ~j)
+                if len(index) > MAX_STATES:
                     raise StateBudgetError(f"width {width} needs over {MAX_STATES} states")
-                j = index[window >> width] = len(profiles)
-                profiles.append(window >> width)
             counts[j] = counts.get(j, 0) + 1
             return
         for mask in placements[((col0 + 1) & ~col0).bit_length() - 1]:  # first empty row
@@ -140,7 +176,7 @@ def build_automaton(tiles: TileSet, width: int) -> TransferAutomaton:
         fill(profile)
         rows.append(counts)
 
-    return _trimmed(width, reach, tuple(profiles), rows)
+    return _trimmed(width, reach, tuple(profiles), rows, tuple(sizes) if mirror else ())
 
 
 def _sweep(a: TransferAutomaton, classes: list) -> Iterator[list[int]]:
@@ -330,18 +366,28 @@ def _closure(adj: list) -> set[int]:
     return seen
 
 
-def _trimmed(width: int, reach: int, states: tuple, rows: list) -> TransferAutomaton:
-    # rows[i] is state i's {target: ways}, each state with a row reached from state 0: keeps the
-    # states that reach it again, by one backward search, renumbered ascending, and sorts their rows
+def _trimmed(width: int, reach: int, states: tuple, rows: list, sizes: tuple) -> TransferAutomaton:
+    # rows[i] is state i's {target: ways}, each state with a row reached from state 0, where with
+    # sizes the ways into a target's mirror twin are keyed ~target: keeps the states that reach it
+    # again, by one backward search, renumbered ascending, and sorts their rows, one (target, ways)
+    # pair a profile reached
     back: list[list[int]] = [[] for _ in rows]
+    if sizes:
+        back += back[::-1]  # back[~j] is back[j]
     for i, row in enumerate(rows):
         for j in row:
             back[j].append(i)
     keep = sorted(_closure(back))
     if len(keep) < len(rows):
         renumber = dict(zip(keep, range(len(keep))))
+        if sizes:
+            renumber.update({~j: ~k for j, k in renumber.items()})
         rows = [{renumber[j]: w for j, w in rows[i].items() if j in renumber} for i in keep]
         states = tuple(states[i] for i in keep)
+        sizes = tuple(sizes[i] for i in keep) if sizes else ()
+    if sizes:
+        rows = [[(j if j >= 0 else ~j, w) for j, w in r.items()] for r in rows]
+        return TransferAutomaton(width, reach, states, tuple(tuple(sorted(r)) for r in rows), sizes)
     return TransferAutomaton(width, reach, states, tuple(tuple(sorted(r.items())) for r in rows))
 
 
@@ -350,10 +396,16 @@ def trim_reachable(a: TransferAutomaton) -> TransferAutomaton:
 
     Keeps the states reachable from state 0, the start, and co-reachable back to it, renumbered
     ascending, or a itself when that is all; N(n) is unchanged.  build_automaton trims as it builds.
+    A repeated target's ways are summed, or, in a mirror quotient, kept one pair a profile.
     """
     reached = _closure([[j for j, _ in out] for out in a.edges])
-    rows = [dict(out) if i in reached else {} for i, out in enumerate(a.edges)]
-    trimmed = _trimmed(a.width, a.reach, a.states, rows)
+    rows: list[dict[int, int]] = [{} for _ in a.edges]
+    for i in reached:
+        row = rows[i]
+        for j, w in a.edges[i]:
+            j = ~j if a.sizes and j in row else j  # a twin's pair, keyed as the build keys it
+            row[j] = row.get(j, 0) + w
+    trimmed = _trimmed(a.width, a.reach, a.states, rows, a.sizes)
     return a if len(trimmed.states) == len(a.states) else trimmed
 
 

@@ -24,6 +24,8 @@ EXIT_NO_TILINGS = 3
 # multiply-add; one Xeon core (CPython 3.11): domino w16 L39 1.5 s, w12 L578 0.9 s.
 # faultfree pays for strip_gf's sweep, 2 r0 + 2 steps of k columns over every state at most,
 # and for L terms of at most r0 multiply-adds (k, r0: the start's period and class size).
+# The counting commands sweep the mirror quotient (build_automaton's mirror) where the tiles
+# allow it, and n, e and r0 are still the full automaton's, so every refusal is as before.
 MAX_SWEEP_WORK = 5 * 10**10
 
 # output budget: the sum of squared digits of the counts a command prints, as CPython's
@@ -57,8 +59,10 @@ def _tileset(spec: str):
 
 def _check_sweep(auto, columns: int, steps: int | None = None, adds: int | None = None) -> None:
     # `steps` (default: columns) of `adds` multiply-adds each (default: n + e, one column
-    # over every state), on counts of up to `columns` columns
-    adds = len(auto.states) + sum(len(out) for out in auto.edges) if adds is None else adds
+    # over every state of the full automaton), on counts of up to `columns` columns
+    if adds is None:
+        sizes = auto.sizes or [1] * len(auto.states)
+        adds = sum(s * (1 + len(out)) for s, out in zip(sizes, auto.edges))
     b = max((sum(w for _, w in out) for out in auto.edges), default=0).bit_length()
     if (columns if steps is None else steps) * adds * (4096 + columns * b) > MAX_SWEEP_WORK:
         raise UsageError(f"{columns} columns exceed the sweep budget at width {auto.width}")
@@ -92,7 +96,7 @@ def _parse_beta(text: str) -> float:
 
 
 def _count(tiles, width: int, length: int) -> int:
-    auto = tesserae.automaton.build_automaton(tiles, width)
+    auto = tesserae.automaton.build_automaton(tiles, width, mirror=True)
     _check_sweep(auto, length)
     return tesserae.automaton.count_rect(auto, length)
 
@@ -117,7 +121,7 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_series(args) -> dict:
-    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width)
+    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width, mirror=True)
     _check_sweep(auto, args.length)
     s = tesserae.automaton.series(auto, args.length)
     return {"command": "series", "tiles": args.tiles, "width": args.width,
@@ -131,15 +135,18 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_gf(args) -> dict:
-    g = tesserae.gf.strip_gf(tesserae.automaton.build_automaton(_tileset(args.tiles), args.width))
+    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width, mirror=True)
+    g = tesserae.gf.strip_gf(auto)
     return {"command": "gf", "tiles": args.tiles, "width": args.width,
             "num": list(g.num), "den": list(g.den), "step": g.step}
 
 
 def _cmd_faultfree(args) -> dict:
-    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width)
+    auto = tesserae.automaton.build_automaton(_tileset(args.tiles), args.width, mirror=True)
     classes = tesserae.automaton._cyclic_classes(auto)
     k, r0 = len(classes), len(classes[0])
+    if auto.sizes:  # the full automaton's class: the profiles its states stand for
+        r0 = sum(auto.sizes[i] for i in classes[0])
     _check_sweep(auto, k * args.length, args.length, r0)  # the expansion, checked first
     _check_sweep(auto, k * (2 * r0 + 2), 2 * r0 + 2)  # strip_gf
     g = tesserae.gf.faultfree(tesserae.gf.strip_gf(auto))
@@ -151,7 +158,7 @@ def _cmd_faultfree(args) -> dict:
 
 def _cmd_entropy(args) -> dict:
     tiles = _tileset(args.tiles)
-    g = tesserae.gf.strip_gf(tesserae.automaton.build_automaton(tiles, args.width))
+    g = tesserae.gf.strip_gf(tesserae.automaton.build_automaton(tiles, args.width, mirror=True))
     report = tesserae.spectral.strip_entropy(g, args.width)
     try:
         upper = tesserae.spectral.entropy_upper(tiles)

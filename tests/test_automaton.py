@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tesserae import (
     AutomatonError,
+    NoTilingsError,
     OracleLimitError,
     Polyomino,
     StateBudgetError,
@@ -18,13 +19,17 @@ from tesserae import (
     brute_force_count,
     build_automaton,
     count_rect,
+    faultfree,
     parse_tile_file,
+    perron_root,
     preset,
     series,
+    strip_gf,
     to_dot,
     trim_reachable,
 )
-from tesserae.automaton import MAX_STATES, MAX_WIDTH
+from tesserae import automaton
+from tesserae.automaton import MAX_STATES, MAX_WIDTH, _cyclic_classes
 from tesserae.cli import main
 from tesserae.poly import PRESETS
 
@@ -565,3 +570,147 @@ def test_count_matches_oracle_either_way_round(tmp_path_factory, shapes, symmetr
             assert code == 0, (text, width, length)
             count = brute_force_count(tiles, width, length)
             assert json.loads(out.getvalue())["count"] == str(count), (text, width, length)
+
+
+def full_size(auto):
+    """(states, nonzeros) of the full automaton that a build, lumped or not, stands for."""
+    sizes = auto.sizes or (1,) * len(auto.states)
+    return sum(sizes), sum(s * len(out) for s, out in zip(sizes, auto.edges))
+
+
+def row_flip_closed(tiles, width):
+    fitting = [v for v in tiles.variants if v.height <= width]
+    return {v.cells for v in fitting} == {
+        frozenset((v.height - 1 - r, c) for r, c in v.cells) for v in fitting}
+
+
+MIRROR_CASES = [(n, w) for n in PRESET_NAMES for w in range(1, 9)] + [
+    ("tetromino-T", 12), ("tetromino-T", 16), ("tetromino-T", 20), ("tetromino-L", 7),
+    ("domino", 12)]
+
+
+@pytest.mark.parametrize("name, width", MIRROR_CASES)
+def test_mirror_quotient_keeps_counts_gf_and_root(name, width):
+    try:
+        auto = build_automaton(preset(name), width)
+    except AutomatonError:
+        with pytest.raises(AutomatonError):
+            build_automaton(preset(name), width, mirror=True)
+        return
+    q = build_automaton(preset(name), width, mirror=True)
+    assert trim_reachable(q) is q
+    assert full_size(q) == full_size(auto) and set(q.sizes) <= {1, 2}
+    assert series(q, 40) == series(auto, 40)
+    for length in (0, 1, 7, 40, 333):
+        assert count_rect(q, length) == count_rect(auto, length)
+    try:
+        g = strip_gf(auto)
+    except NoTilingsError:
+        with pytest.raises(NoTilingsError):
+            strip_gf(q)
+        return
+    assert strip_gf(q) == g and faultfree(strip_gf(q)) == faultfree(g)
+    classes = _cyclic_classes(q)
+    assert len(classes) == g.step
+    assert sum(q.sizes[i] for i in classes[0]) == len(_cyclic_classes(auto)[0])  # r0
+    assert perron_root(q) == pytest.approx(perron_root(auto), rel=1e-12)
+
+
+def test_mirror_quotient_sizes():
+    # T w16: 364 states stand for the 690 of the full build; T w20: 1562 for 3102
+    for width, states, profiles in ((16, 364, 690), (20, 1562, 3102)):
+        q = build_automaton(preset("tetromino-T"), width, mirror=True)
+        assert (len(q.states), sum(q.sizes)) == (states, profiles)
+
+
+def test_chiral_tiles_decline_the_mirror():
+    # quarter turns of an L tetromino hold no mirror image of it, while a horizontal
+    # domino and a monomino, drawn once each, are their own mirror images
+    chiral = parse_tile_file("@symmetry: rotations\n##\n#.\n\n#..\n###\n")
+    for width in range(2, 7):
+        assert build_automaton(chiral, width, mirror=True) == build_automaton(chiral, width)
+    closed = parse_tile_file("@symmetry: none\n##\n\n#\n")
+    assert build_automaton(closed, 2, mirror=True) == TransferAutomaton(
+        2, 1, (0, 3, 1), (((0, 1), (1, 1), (2, 1), (2, 1)), ((0, 1),), ((0, 1), (2, 1))),
+        (1, 1, 2))
+
+
+def test_trim_keeps_the_ways_of_a_repeated_target():
+    # a quotient's row holds one pair per profile reached, so a target can repeat;
+    # state 2 is dead
+    a = TransferAutomaton(2, 1, (0, 1, 2), (((0, 1), (1, 1), (1, 1), (2, 1)), ((0, 2),), ()),
+                          (1, 2, 2))
+    trimmed = trim_reachable(a)
+    assert trimmed == TransferAutomaton(2, 1, (0, 1), (((0, 1), (1, 1), (1, 1)), ((0, 2),)),
+                                        (1, 2))
+    assert series(trimmed, 8) == series(a, 8)
+    assert series(a, 3).terms == (1, 1, 5, 9)
+    # with no mirror pairs, a repeated target's ways are summed
+    full = TransferAutomaton(1, 1, (0, 1), (((0, 1), (0, 1), (1, 1)), ()))
+    assert trim_reachable(full) == TransferAutomaton(1, 1, (0,), (((0, 2),),))
+    assert series(trim_reachable(full), 5) == series(full, 5)
+
+
+@pytest.mark.parametrize("budget", [40, 200])
+def test_mirror_build_refused_exactly_where_the_full_build_is(monkeypatch, budget):
+    monkeypatch.setattr(automaton, "MAX_STATES", budget)
+    refused = 0
+    for name in PRESET_NAMES:
+        for width in range(1, 11):
+            outcomes = []
+            for mirror in (False, True):
+                try:
+                    outcomes.append(full_size(build_automaton(preset(name), width, mirror=mirror)))
+                except AutomatonError as exc:
+                    outcomes.append(repr(exc))
+                except StateBudgetError as exc:
+                    outcomes.append(repr(exc))
+                    refused += 1
+            assert outcomes[0] == outcomes[1], (name, width)
+    assert 0 < refused < 2 * len(PRESET_NAMES) * 10
+
+
+@pytest.mark.parametrize("name, width", [(n, w) for n in PRESET_NAMES for w in range(2, 9)])
+def test_mirror_build_counts_both_profiles_of_a_pair(monkeypatch, name, width):
+    # at a budget of exactly the profiles the full build finds, both builds answer;
+    # one fewer, and both refuse
+    try:
+        found = len(untrimmed(preset(name), width).states)
+    except ValueError:  # no variant fits
+        return
+    if found == 1:  # the start alone, which the budget checks only with a second profile
+        return
+    for budget, fits in ((found, True), (found - 1, False)):
+        monkeypatch.setattr(automaton, "MAX_STATES", budget)
+        for mirror in (False, True):
+            if fits:
+                build_automaton(preset(name), width, mirror=mirror)
+            else:
+                with pytest.raises(StateBudgetError, match=f"needs over {budget} states"):
+                    build_automaton(preset(name), width, mirror=mirror)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(GROWTH, min_size=1, max_size=2),
+    symmetry=st.sampled_from(["all", "rotations", "none"]),
+    width=st.integers(1, 6),
+)
+def test_mirror_build_matches_oracle_on_random_tile_sets(shapes, symmetry, width):
+    text = f"@symmetry: {symmetry}\n" + "\n\n".join(map(_grid, shapes))
+    tiles = parse_tile_file(text)
+    try:
+        q = build_automaton(tiles, width, mirror=True)
+    except AutomatonError:
+        assert all(v.height > width for v in tiles.variants)
+        return
+    full = build_automaton(tiles, width)
+    assert trim_reachable(q) is q
+    assert full_size(q) == full_size(full)
+    assert bool(q.sizes) == row_flip_closed(tiles, width)
+    if not q.sizes:
+        assert q == full
+    counts = series(q, 64 // width).terms
+    assert counts == series(full, 64 // width).terms
+    for length, count in enumerate(counts[1:], start=1):
+        assert brute_force_count(tiles, width, length) == count, (text, width, length)

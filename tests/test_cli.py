@@ -669,3 +669,57 @@ class TestJsonRoundTrip:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0
         assert render_json(json.loads(out)) == out
+
+
+@pytest.mark.parametrize("command", ["count", "series", "gf", "faultfree", "entropy",
+                                     "automaton-dot"])
+def test_counting_commands_build_the_mirror_quotient(capsys, monkeypatch, command):
+    # automaton-dot prints the full automaton; the commands that count sweep the quotient
+    build, seen = tesserae.automaton.build_automaton, []
+
+    def spy(tiles, width, mirror=False):
+        seen.append(mirror)
+        return build(tiles, width, mirror)
+
+    monkeypatch.setattr(tesserae.automaton, "build_automaton", spy)
+    lengths = ("--length", "6") if command in ("count", "series") else ()
+    assert run(capsys, command, "--tiles", "tromino-right", "--width", "4", *lengths)[0] == 0
+    assert seen == [command != "automaton-dot"]
+
+
+def full_route(capsys, monkeypatch, *argv):
+    # the command with every build the full automaton
+    build = tesserae.automaton.build_automaton
+    with monkeypatch.context() as m:
+        m.setattr(tesserae.automaton, "build_automaton",
+                  lambda tiles, width, mirror=False: build(tiles, width))
+        return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("tiles, width", [
+    (t, w) for t in ("domino", "tromino-right", "tetromino-L", "tetromino-T") for w in range(2, 7)])
+def test_sweep_budget_prices_the_full_automaton(capsys, monkeypatch, tiles, width):
+    # n + e, b, and faultfree's r0 are the full automaton's: at each charge it prices, and one
+    # below, the quotient's answer or refusal is the full build's, byte for byte
+    auto = tesserae.build_automaton(tesserae.preset(tiles), width)
+    adds = len(auto.states) + sum(map(len, auto.edges))
+    b = max((sum(w for _, w in out) for out in auto.edges), default=0).bit_length()
+    length = width + 2  # past the width: count sweeps this strip
+    charges = {(cmd, "--length", str(length)): [length * adds * (4096 + length * b)]
+               for cmd in ("count", "series")}
+    try:
+        classes = tesserae.automaton._cyclic_classes(auto)
+    except tesserae.NoTilingsError:
+        pass
+    else:
+        k, r0 = len(classes), len(classes[0])
+        charges["faultfree", "--length", "5"] = [
+            5 * r0 * (4096 + k * 5 * b), (2 * r0 + 2) * adds * (4096 + k * (2 * r0 + 2) * b)]
+    for (command, *rest), prices in charges.items():
+        argv = (command, "--tiles", tiles, "--width", str(width), *rest)
+        for budget in sorted({p - d for p in prices for d in (0, 1)}):
+            monkeypatch.setattr(tesserae.cli, "MAX_SWEEP_WORK", budget)
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == full_route(capsys, monkeypatch, *argv), (argv, budget)
+            assert (code == 0) == (budget >= max(prices)), (argv, budget)
+            assert code == 0 or "sweep budget" in err
