@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 
@@ -17,8 +19,10 @@ BETA_CRITICAL = 0.5 * math.log(1.0 + math.sqrt(2.0))
 # just one, which is an Ising weight e^(2 beta s s') with beta = ln(2)/2.
 BETA_TILING = 0.5 * math.log(2.0)
 
-# Budgets, checked before any work.  The quadrature holds one block of
-# _BLOCK_NODES float64 nodes, so MAX_GRID bounds time: 2^26 nodes, about 0.2 s.
+# Budgets, checked before any work.  The quadrature holds _BLOCK_NODES float64
+# block nodes and a quarter more for coarse copies, however many threads share
+# them, so MAX_GRID bounds time: 2^26 nodes, about 0.16 s on one Xeon core and
+# 0.09 s on two.
 # The spin transfer makes p q site updates over 2^min(p, q) entries growing a
 # bit per site, each ~1 + p q / SPIN_GROWTH_SITES small-integer steps;
 # MAX_SPIN_WORK steps take about 2 s on one Xeon core (CPython 3.11).
@@ -35,34 +39,88 @@ class IsingBound:
     err_estimate: float
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def onsager_estimate(beta: float, grid: int = 1024) -> tuple[float, float]:
     """onsager_entropy at `grid` and its error estimate |value - value at grid // 2|,
-    in one pass over row blocks of _BLOCK_NODES nodes.  numpy's add.reduce sums a
-    contiguous array as a pairwise tree splitting power-of-two lengths at exact
-    halves, so block sums paired as that tree give the whole-mesh sums to the bit."""
+    in one pass over row blocks of at most _BLOCK_NODES nodes, shared out to one
+    thread per CPU of the affinity mask (at most one per block).  numpy's add.reduce
+    sums a contiguous array as a pairwise tree splitting power-of-two lengths at
+    exact halves, so block sums paired as that tree, in block order, give the
+    whole-mesh sums to the bit, whatever the block size and the thread count."""
     if not 0.0 <= beta < BETA_CRITICAL:
         raise IsingError("beta must lie in [0, ln(1 + sqrt 2)/2): integrand stays positive")
     if grid < 64 or grid & (grid - 1) or grid > MAX_GRID:
         raise IsingError(f"grid must be a power of two from 64 to {MAX_GRID}")
     import numpy as np  # here, not at module level, so the CLI starts without it
 
+    # One allocation holds the pass: for each of n workers a block of rows (a
+    # power of two, at least 2) in _BLOCK_NODES // n nodes and a quarter block
+    # for its coarse copy; then the blocks' fine sums, their coarse sums, and
+    # the cosines.  One block of up to _BLOCK_NODES nodes needs no thread.
+    nodes = grid * grid
+    workers = 1 if nodes <= _BLOCK_NODES else min(
+        _cpus(), nodes // _BLOCK_NODES, _BLOCK_NODES // (2 * grid))
+    rows = min(grid, (_BLOCK_NODES >> (workers - 1).bit_length()) // grid)
+    block, blocks, share_nodes = rows * grid, grid // rows, rows * grid * 5 // 4
+    arena = np.empty(workers * share_nodes + 2 * blocks + grid)
+    sums, c = arena[workers * share_nodes:-grid], arena[-grid:]
     # periodic trapezoid rule on [0, 2pi)^2 is a plain mean over the nodes
-    c = np.cos(2.0 * math.pi * np.arange(grid) / grid)
+    np.cos(2.0 * math.pi * np.arange(grid) / grid, c)
     cosh2, sinh = math.cosh(2.0 * beta) ** 2, math.sinh(2.0 * beta)
-    rows = min(grid, _BLOCK_NODES // grid)
-    buf, sums = np.empty((rows, grid)), []
-    for i in range(0, grid, rows):
-        np.add(c[i:i + rows, None], c[None, :], out=buf)
-        np.multiply(sinh, buf, out=buf)
-        np.subtract(cosh2, buf, out=buf)
-        np.log(buf, out=buf)
-        sums.append((np.add.reduce(buf, axis=None),
-                     np.add.reduce(np.ascontiguousarray(buf[::2, ::2]), axis=None)))
-    sums = np.array(sums)
-    while len(sums) > 1:  # a power of two of block sums, paired as numpy pairs halves
+
+    def share(w: int) -> None:  # blocks w, w + workers, ...
+        start = w * share_nodes
+        buf = arena[start:start + block].reshape(rows, grid)
+        coarse = arena[start + block:start + share_nodes].reshape(rows // 2, grid // 2)
+        for b in range(w, blocks, workers):
+            np.add(c[b * rows:(b + 1) * rows, None], c, buf)
+            np.multiply(sinh, buf, buf)
+            np.subtract(cosh2, buf, buf)
+            np.log(buf, buf)
+            coarse[...] = buf[::2, ::2]
+            sums[b] = np.add.reduce(buf, None)
+            sums[blocks + b] = np.add.reduce(coarse, None)
+
+    if blocks == 1:
+        share(0)
+    else:
+        # numpy lets go of the GIL in these loops; every thread ends before we
+        # return.  A ufunc buffer of one row (a per-thread numpy setting) keeps
+        # np.add from copying the broadcast column into 8192-node buffers below
+        # grid 8192: four times slower, and 128 KiB more in each worker's arena.
+        errors, threads = [], []
+
+        def guarded(w: int) -> None:
+            try:
+                np.setbufsize(grid)
+                share(w)
+            except BaseException as e:
+                errors.append(e)
+
+        bufsize = np.setbufsize(grid)
+        try:
+            for w in range(1, workers):
+                t = threading.Thread(target=guarded, args=(w,))
+                t.start()
+                threads.append(t)
+            share(0)
+        finally:
+            np.setbufsize(bufsize)
+            for t in threads:
+                t.join()
+        if errors:
+            raise errors[0]
+    while len(sums) > 2:  # a power of two of block sums, paired as numpy pairs halves
         sums = sums[::2] + sums[1::2]
-    fine, coarse = (math.log(2.0) + 0.5 * float(s / n)
-                    for s, n in zip(sums[0], (grid * grid, grid * grid // 4)))
+    fine, coarse = sums.tolist()
+    fine, coarse = (math.log(2.0) + 0.5 * (fine / nodes),
+                    math.log(2.0) + 0.5 * (coarse / (nodes // 4)))
     return fine, abs(fine - coarse)
 
 

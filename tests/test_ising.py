@@ -1,6 +1,11 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from tesserae import (
     spin_weight_sum,
     t_tetromino_bound,
 )
+from tesserae import ising
 from tesserae.ising import MAX_GRID, onsager_estimate
 
 
@@ -86,9 +92,9 @@ class TestBlockedQuadrature:
     def test_bit_identical_to_dense_mesh_random_beta(self, beta, grid):
         _assert_matches_dense(beta, grid)
 
-    def test_memory_is_linear_in_grid(self):
-        # numpy reports its buffers to tracemalloc; the full mesh at MAX_GRID
-        # would be 512 MiB per temporary
+    def test_memory_is_linear_in_grid(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc, from every thread; the full
+        # mesh at MAX_GRID would be 512 MiB per temporary
         t_tetromino_bound(64)  # import numpy outside the trace
         tracemalloc.start()
         try:
@@ -97,6 +103,137 @@ class TestBlockedQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+        # the pass's one allocation holds 2^17 block nodes and their coarse
+        # copies however many workers share them: 1.28 MiB at grid 4096
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(ising, "_cpus", lambda: workers)
+            onsager_estimate(0.3, 512)  # import threading outside the trace
+            tracemalloc.start()
+            try:
+                onsager_estimate(BETA_TILING, 4096)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 << 19, (workers, peak)  # 1.5 MiB
+
+
+@functools.lru_cache(maxsize=None)
+def _one_worker(beta, grid):
+    saved, ising._cpus = ising._cpus, lambda: 1
+    try:
+        return onsager_estimate(beta, grid)
+    finally:
+        ising._cpus = saved
+
+
+def _hex(pair):
+    return tuple(x.hex() for x in pair)
+
+
+class TestThreadedQuadrature:
+    # the worker count comes from the CPUs that ising reads; blocks land in
+    # their own slots and are paired in block order, so no count moves a bit
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("grid", [512, 1024, 4096, 8192])
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch, workers, grid):
+        monkeypatch.setattr(ising, "_cpus", lambda: workers)
+        for beta in (0.0, 0.3, BETA_TILING, 0.999 * BETA_CRITICAL):
+            assert _hex(onsager_estimate(beta, grid)) == _hex(_one_worker(beta, grid))
+
+    @pytest.mark.parametrize("grid, threads", [(512, 1), (1024, 7), (2048, 31), (4096, 15),
+                                               (8192, 7)])
+    def test_threads_are_capped_by_blocks_and_rows(self, monkeypatch, grid, threads):
+        # 64 CPUs: at most one worker per _BLOCK_NODES nodes of the mesh, and
+        # every worker's block keeps at least two rows
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(ising, "_cpus", lambda: 64)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        assert _hex(onsager_estimate(BETA_TILING, grid)) == _hex(_one_worker(BETA_TILING, grid))
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("grid", [64, 128, 256])
+    def test_one_block_reads_no_cpu_count_and_starts_no_thread(self, monkeypatch, grid):
+        def unasked():
+            raise AssertionError("one block asked for the CPU count")
+
+        monkeypatch.setattr(ising, "_cpus", unasked)
+        monkeypatch.setattr(threading.Thread, "start", unasked)
+        assert onsager_estimate(BETA_TILING, grid) == _one_worker(BETA_TILING, grid)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_in_any_share_reaches_the_caller_after_every_join(self, monkeypatch, failing):
+        # np.log raises in the second block of one share (blocks 1, 3 of
+        # the worker's, 0, 2 of the caller's at grid 1024 under two CPUs)
+        caller, calls, log = threading.get_ident(), {}, np.log
+
+        def failing_log(*args, **kwargs):
+            me = threading.get_ident()
+            calls[me] = calls.get(me, 0) + 1
+            if calls[me] == 2 and (me == caller) == (failing == "caller"):
+                raise FloatingPointError(f"second block of the {failing}")
+            return log(*args, **kwargs)
+
+        monkeypatch.setattr(ising, "_cpus", lambda: 2)
+        monkeypatch.setattr(np, "log", failing_log)
+        before, bufsize = threading.active_count(), np.getbufsize()
+        with pytest.raises(FloatingPointError, match=f"second block of the {failing}"):
+            onsager_estimate(0.3, 1024)
+        assert threading.active_count() == before
+        assert np.getbufsize() == bufsize
+        assert len(calls) == 2 and calls[caller] >= 2
+
+    def test_concurrent_callers_with_more_threads_than_cores(self, monkeypatch):
+        # four callers at once, each sharing its blocks out to four threads,
+        # switching every microsecond: a block sum lost or written to another
+        # call's slot would move a bit
+        monkeypatch.setattr(ising, "_cpus", lambda: 4)
+        betas = (0.0, 0.3, BETA_TILING, 0.999 * BETA_CRITICAL)
+        expected = [_hex(_one_worker(beta, 2048)) for beta in betas]
+        results = [None] * len(betas)
+
+        def call(i):
+            results[i] = _hex(onsager_estimate(betas[i], 2048))
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(betas))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_callers_ufunc_buffer_size_is_restored(self, monkeypatch, workers):
+        # the pass sets numpy's per-thread buffer size to one row of the mesh
+        monkeypatch.setattr(ising, "_cpus", lambda: workers)
+        bufsize = np.getbufsize()
+        with np.errstate(all="raise"):
+            onsager_estimate(0.3, 1024)
+            assert np.geterr()["divide"] == "raise"
+        assert np.getbufsize() == bufsize
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_a_process_pinned_to_one_cpu_runs_one_worker(self):
+        code = ("import os, threading; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "from tesserae import ising; assert ising._cpus() == 1; "
+                "print(*(x.hex() for x in ising.onsager_estimate(ising.BETA_TILING, 4096))); "
+                "assert threading.active_count() == 1")
+        src = str(Path(ising.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert tuple(proc.stdout.split()) == _hex(_one_worker(BETA_TILING, 4096))
 
 
 class TestTetrominoBound:
