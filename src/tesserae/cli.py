@@ -2,14 +2,18 @@
 
 Handlers reach the library as tesserae.<module>.<name>: the package imports
 each submodule on its first read, so a command compiles only the modules it runs.
+A command line in canonical form (the command, each of its flags in full with its
+value as the next word, --json anywhere after the command) is read straight from
+_COMMANDS; any other, help and usage errors included, goes to argparse, which this
+module imports only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+import types
 
 import tesserae
 
@@ -37,11 +41,6 @@ MAX_DIGITS_WORK = 15 * 10**10
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
-        raise UsageError(message)
 
 
 def _tileset(spec: str):
@@ -201,6 +200,7 @@ def _cmd_dot(args) -> dict:
 
 # An argument: (flag, help line, default or None when required, type, least value or None).
 # main refuses a value below its least one, in declared order, before the handler runs.
+# _canonical and build_parser both read this table, so the two parse alike.
 _TILES = ("--tiles", "preset name or tile file path", None, str, None)
 _STRIP = (_TILES, ("--width", "strip width (rows)", None, int, 1))
 _RECT = (*_STRIP, ("--length", "rectangle length (columns)", None, int, 0))
@@ -225,9 +225,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> _Parser:
+def build_parser(argv=None):
     """Parser for argv with only the subcommand that argv[0] names, or with all
     of them when it names none, so help and usage errors read the same."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
+            raise UsageError(message)
+
     top = _Parser(
         prog="tesserae",
         description="Exact strip-tiling counts, generating functions, and entropy bounds.",
@@ -241,6 +247,39 @@ def build_parser(argv=None) -> _Parser:
             p.add_argument(flag, type=kind, default=default, required=default is None,
                            help=help_line)
     return top
+
+
+def _canonical(argv):
+    """build_parser(argv).parse_args(argv) for a canonical argv, None for any other.
+
+    Canonical: a command, then each of its flags spelled in full with a value as the
+    next word that does not start with "-" and that the flag's type takes, at least
+    the required flags, and --json anywhere.  A repeated flag keeps its last value,
+    and a string default passes through the type, as in argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _COMMANDS[argv[0]][2]
+    kinds = {flag: kind for flag, _, _, kind, _ in arguments}
+    args = {"command": argv[0], "json": False}
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--json":
+            args["json"] = True
+            continue
+        value = next(words, "-")
+        if word not in kinds or value.startswith("-"):
+            return None
+        try:
+            args[word[2:]] = kinds[word](value)
+        except ValueError:
+            return None
+    for flag, _, default, kind, _ in arguments:
+        if flag[2:] not in args:
+            if default is None:
+                return None
+            args[flag[2:]] = kind(default) if isinstance(default, str) else default
+    return types.SimpleNamespace(**args)
 
 
 def render_json(report: dict) -> str:
@@ -283,7 +322,7 @@ def _failure(exc: ValueError) -> tuple[int, str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _canonical(argv) or build_parser(argv).parse_args(argv)
         if not args.command:
             raise UsageError("a command is required (try --help)")
         handler, _, arguments = _COMMANDS[args.command]

@@ -99,14 +99,25 @@ def dominant_root(g: RationalGF) -> float:
 
 
 def residual(g: RationalGF, root: float) -> float:
-    """|p(root)| relative to the magnitude of p's terms at root."""
-    value = 0.0
-    scale = 0.0
+    """|p(root)| relative to the magnitude of p's terms at root.
+
+    Summed in floats, or in the integers where the float sum overflows: the
+    root is m / 2^e exactly, and both sums scale by the same 2^(e*d).
+    """
+    p = _char_poly(g.den)
+    value = scale = 0.0
     power = 1.0
-    for c in _char_poly(g.den):
-        value += c * power
-        scale += abs(c) * power
-        power *= root
+    try:
+        for c in p:
+            value += c * power
+            scale += abs(c) * power
+            power *= root
+    except OverflowError:  # a coefficient past the float range
+        scale = math.inf
+    if not math.isfinite(scale):
+        m, q = root.as_integer_ratio()
+        e = q.bit_length() - 1
+        value, scale = _value(p, m, e), _value(tuple(map(abs, p)), m, e)
     return abs(value) / scale if scale else 0.0
 
 

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tesserae
+from tesserae import cli
 from tesserae.cli import UsageError, build_parser, main, render_json
 
 SRC = str(Path(tesserae.__file__).resolve().parents[1])
@@ -435,6 +441,96 @@ class TestSurface:
         assert str(one.value).endswith("(choose from 'gf')")
 
 
+# flag -> (values a handler answers quickly, odd ones: refused by the type or a bound, starting
+# with "-", or numbers spelled as int() still reads them)
+FLAG_VALUES = {
+    "--tiles": (["domino", "tromino-right", "monomino", "tetromino-T"],
+                ["heptomino", "", "-x", "--json", "-h"]),
+    "--width": (["1", "2", "3"], [" 2", "0_2", "0", "-1", "", "x", "2.5", "--", "--length"]),
+    "--length": (["0", "2", "4"], ["4_0", " 3", "-1", "", "three", "-", "--width"]),
+    "--beta": (["0.2", "ln2/2", "0.3"], [" 0.3", "-0.1", "0.9", "two", "", "-h"]),
+    "--grid": (["64", "128"], [" 64", "6_4", "100", "-64", "", "--json"]),
+}
+ODD_WORDS = ["-h", "--help", "--", "-x", "--js", "bogus", "gf", "-1", ""]
+
+
+@st.composite
+def command_lines(draw):
+    """Canonical argvs, and as many in which one choice in five goes odd: a bogus command, a
+    flag left out, abbreviated, joined to its value by "=" or without a value, an odd value,
+    --json first or a stray word."""
+    wild = draw(st.booleans())
+
+    def odd():
+        return wild and draw(st.sampled_from((False, False, False, False, True)))
+
+    command = draw(st.sampled_from(["bogus", "", "--json", "-h", "GF"] if odd() else COMMANDS))
+    declared = ([flag for flag, *_ in cli._COMMANDS[command][2]] if command in cli._COMMANDS
+                else list(FLAG_VALUES))
+    argv = [command]
+    repeats = draw(st.lists(st.sampled_from(declared), max_size=2))
+    for flag in draw(st.permutations(declared)) + repeats:
+        if odd():
+            continue
+        good, bad = FLAG_VALUES[flag]
+        value = draw(st.sampled_from(bad if odd() else good))
+        spelling = draw(st.sampled_from(["abbreviated", "joined", "bare", "swapped"])) if odd() \
+            else "full"
+        argv += {"full": [flag, value], "abbreviated": [flag[:-2], value],
+                 "joined": [f"{flag}={value}"], "bare": [flag], "swapped": [value, flag]}[spelling]
+    for _ in range(draw(st.integers(0, 2))):
+        word = draw(st.sampled_from(ODD_WORDS)) if odd() else "--json"
+        argv.insert(draw(st.integers(0 if odd() else 1, len(argv))), word)
+    return argv
+
+
+def outcome(argv):
+    """(exit status or SystemExit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCanonicalParse:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines())
+    def test_table_parse_agrees_with_argparse(self, argv):
+        fast = cli._canonical(argv)
+        if fast is not None:
+            assert vars(fast) == vars(build_parser(argv).parse_args(argv))
+        with mock.patch.object(cli, "_canonical", lambda argv: None):
+            parsed_by_argparse = outcome(argv)
+        assert outcome(argv) == parsed_by_argparse
+
+    @pytest.mark.parametrize("argv", [
+        *COMMAND_ARGVS,
+        ("ising-bound",),
+        ("faultfree", "--tiles", "domino", "--width", "2", "--width", "3", "--json"),
+        ("gf", "--json", "--width", " 4_0", "--tiles", "domino", "--json"),
+    ])
+    def test_canonical_lines_skip_argparse(self, argv):
+        assert cli._canonical(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        "", "bogus", "--json gf --tiles domino --width 2", "gf --help", "gf -h --tiles domino --width 2",
+        "gf --tiles=domino --width 2", "gf --tiles domino --wid 2", "gf --tiles domino --width 2 --",
+        "gf --tiles domino --width -2", "gf --tiles -x --width 2", "gf --tiles domino --width x",
+        "gf --tiles domino", "gf --tiles domino --width", "gf domino --tiles domino --width 2",
+        "gf --tiles domino --width 2 --length 3", "ising-bound --grid 64 --beta",
+    ])
+    def test_other_lines_go_to_argparse(self, argv):
+        assert cli._canonical(argv.split()) is None
+
+    def test_abbreviated_and_joined_flags_still_parse(self, capsys):
+        canonical = run(capsys, "gf", "--tiles", "domino", "--width", "2", "--json")
+        assert run(capsys, "gf", "--tiles=domino", "--wid", "2", "--json") == canonical
+        assert canonical[0] == 0
+
+
 def test_cli_import_leaves_numpy_unloaded():
     code = "import sys; import tesserae.cli; sys.exit('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, timeout=60)
@@ -442,12 +538,15 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 COMPUTE = ("poly", "automaton", "gf", "spectral", "ising")
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def loaded_after(code: str) -> set[str]:
-    """The tesserae submodules and dataclasses, json, pathlib and numpy loaded once code has
-    run in a fresh interpreter started with -S, so that site preloads nothing."""
-    watched = [f"tesserae.{m}" for m in COMPUTE] + ["dataclasses", "json", "pathlib", "numpy"]
+    """The tesserae submodules and dataclasses, json, pathlib, numpy, argparse, gettext and
+    locale loaded once code has run in a fresh interpreter started with -S, so that site
+    preloads nothing."""
+    watched = [f"tesserae.{m}" for m in COMPUTE] + ["dataclasses", "json", "pathlib", "numpy",
+                                                    *ARGPARSE]
     script = (f"import sys; sys.path.insert(0, {SRC!r})\n{code}\n"
               f"print('loaded:', *[m for m in {watched!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
@@ -457,7 +556,24 @@ def loaded_after(code: str) -> set[str]:
 
 
 def test_parser_loads_no_compute_module():
-    assert loaded_after("import tesserae.cli; tesserae.cli.build_parser()") == set()
+    assert loaded_after("import tesserae.cli; tesserae.cli.build_parser()") == ARGPARSE
+
+
+@pytest.mark.parametrize("argv", [
+    ["fylfot", "--width", "2", "--length", "2", "--json"],
+    ["gf", "--tiles", "domino", "--width", "2"],
+    ["series", "--tiles", "domino", "--width", "3", "--length", "4", "--json"],
+])
+def test_canonical_command_loads_no_argparse(argv):
+    assert not loaded_after(f"import tesserae.cli as c; assert c.main({argv!r}) == 0") & ARGPARSE
+
+
+def test_help_and_usage_errors_load_argparse():
+    code = ("import tesserae.cli as c\n"
+            "try:\n    c.main(['gf', '--help'])\nexcept SystemExit as exc:\n    assert exc.code == 0")
+    assert loaded_after(code) >= ARGPARSE
+    assert loaded_after("import tesserae.cli as c; assert c.main(['gf', '--tiles', 'x']) == 1") \
+        >= ARGPARSE
 
 
 @pytest.mark.parametrize("argv, status", [

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,48 @@ class TestDominantRoot:
     def test_rightmost_root_not_real_and_simple(self, den):
         with pytest.raises(SpectralError):
             dominant_root(RationalGF((1,), den, 1))
+
+
+def float_residual(g, root):
+    # the float sum, which residual keeps wherever it is finite
+    value = scale = 0.0
+    power = 1.0
+    for c in reversed(g.den):
+        value += c * power
+        scale += abs(c) * power
+        power *= root
+    return abs(value) / scale
+
+
+class TestResidualPastTheFloatRange:
+    # p = x^401 den(1/x) = (x - 7)(x^400 + 1); 7^i overflows a float from i = 365
+    WIDE_POWER = RationalGF((1,), tuple(_mul((1, -7), (1, *[0] * 399, 1))), 1)
+    # p = (x - 3)^600, whose middle coefficients are past 2^1024
+    WIDE_COEFFS = RationalGF((1,), tuple(math.comb(600, i) * (-3) ** i for i in range(601)), 1)
+
+    def test_powers_past_the_float_range(self):
+        assert math.isnan(float_residual(self.WIDE_POWER, 7.0))
+        assert residual(self.WIDE_POWER, 7.0) == 0.0
+        # |p| / scale = (x - 7)(x^400 + 1) / ((x + 7)(x^400 + 1)) = 1/29 at 7.5
+        assert residual(self.WIDE_POWER, 7.5) == 1 / 29
+
+    def test_coefficients_past_the_float_range(self):
+        with pytest.raises(OverflowError):
+            float_residual(self.WIDE_COEFFS, 3.0)
+        assert residual(self.WIDE_COEFFS, 3.0) == 0.0
+        # |x - 3|^600 / (x + 3)^600, correctly rounded
+        assert residual(self.WIDE_COEFFS, 3000.0) == float(Fraction(2997, 3003) ** 600)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_residual_keeps_the_float_sum_on_preset_strips(name):
+    for width in range(1, 9):
+        try:
+            g = strip_gf(build_automaton(preset(name), width, mirror=True))
+        except (AutomatonError, NoTilingsError):
+            continue  # entropy answers no residual here
+        root = dominant_root(g)
+        assert residual(g, root).hex() == float_residual(g, root).hex(), width
 
 
 # (float.hex of dominant_root(strip_gf(auto)), step) where strip_gf takes
