@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import cycle, islice
+from itertools import cycle, islice, repeat
 from math import gcd
 from operator import itemgetter, mul
 
@@ -262,6 +262,7 @@ def _lift(terms: list[int], c: list[int], rho: int) -> tuple[int, ...] | None:
     # (c1, ..., cL) from c, the register of the terms mod _PRIMES[0], lifted by symmetric CRT with
     # the register mod each further prime, one with another L starting over; checked on every term
     # at its first prime, when two lifts agree and past the caller's cap 2 (1 + rho)^L: None there
+    # once the run holds two primes, as one prime dividing the terms can cut its register short
     lift, modulus = [], 1
     for i, p in enumerate(_primes()):
         if i:
@@ -274,7 +275,7 @@ def _lift(terms: list[int], c: list[int], rho: int) -> tuple[int, ...] | None:
         if (modulus == 1 or new == lift or m > cap) and _vanishes(
                 [terms[s:s + len(terms) + 1 - len(c)] for s in range(len(c))], coeffs):
             return coeffs
-        if m > cap:
+        if m > cap and modulus > 1:
             return None
         lift, modulus = new, m
 
@@ -311,17 +312,23 @@ def _certified(a: TransferAutomaton, classes: list, n: int | None = None,
     yield from map(itemgetter(0), sweep)
 
 
+def _extended(coeffs, last, heads) -> Iterator[int]:
+    # a[t] = head + c1 a[t-1] + ... + cd a[t-d] for each head in turn, after the d terms in last
+    last = deque(last, maxlen=len(coeffs))
+    for head in heads:
+        x = head + sum(map(mul, coeffs, reversed(last)))
+        last.append(x)
+        yield x
+
+
 def _sampled(a: TransferAutomaton, classes: list, n: int) -> Iterator[int]:
     # N(k t) for t = 0..n from _certified, with no try when n <= 32; a proved recurrence
     # of order d gives the later counts at d multiply-adds each, so it is tried only where
     # that is cheaper than the e additions of a sweep step: 2 d <= e
     proof = yield from _certified(a, classes, n, sum(map(len, a.edges)) // 2 if n > 32 else 0)
     if proof:
-        coeffs, terms = proof
-        last = deque(terms[len(terms) - len(coeffs):], maxlen=len(coeffs))
-        for _ in range(n + 1 - len(terms)):
-            last.append(sum(map(mul, coeffs, reversed(last))))
-            yield last[-1]
+        coeffs, terms = proof  # d >= 1, as N(0) = 1
+        yield from _extended(coeffs, terms[-len(coeffs):], repeat(0, n + 1 - len(terms)))
 
 
 def _resampled(a: TransferAutomaton, length: int) -> tuple[int, Iterator[int]]:

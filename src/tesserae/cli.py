@@ -225,9 +225,9 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None):
-    """Parser for argv with only the subcommand that argv[0] names, or with all
-    of them when it names none, so help and usage errors read the same."""
+def build_parser():
+    """Parser with every subcommand, for the command lines that _canonical does not
+    read: help, usage errors, abbreviated flags and --flag=value."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -239,8 +239,7 @@ def build_parser(argv=None):
         description="Exact strip-tiling counts, generating functions, and entropy bounds.",
     )
     sub = top.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
-        _, help_text, arguments = _COMMANDS[name]
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         for flag, help_line, default, kind, _ in arguments:
@@ -250,7 +249,7 @@ def build_parser(argv=None):
 
 
 def _canonical(argv):
-    """build_parser(argv).parse_args(argv) for a canonical argv, None for any other.
+    """build_parser().parse_args(argv) for a canonical argv, None for any other.
 
     Canonical: a command, then each of its flags spelled in full with a value as the
     next word that does not start with "-" and that the flag's type takes, at least
@@ -322,7 +321,7 @@ def _failure(exc: ValueError) -> tuple[int, str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _canonical(argv) or build_parser(argv).parse_args(argv)
+        args = _canonical(argv) or build_parser().parse_args(argv)
         if not args.command:
             raise UsageError("a command is required (try --help)")
         handler, _, arguments = _COMMANDS[args.command]

@@ -152,11 +152,18 @@ def infer_recurrence(terms) -> LinearRecurrence:
     / 2 - 1.  C is lifted from a word prime, with rho = n max|a| for n
     terms: once n - L >= d, c1..cd are the one solution at t = L..n-1
     (Massey's lemma), so by Cramer and Hadamard an integral |ci| <= rho^d.
+    With none accepted, the error reads L and the order off the longer of the
+    registers mod the first two word primes.
     """
     a = [int(x) for x in terms]
     n, c, lift = len(a), [[1], *automaton._registers(a, automaton._PRIMES[0])][-1], None
     if n - len(c) >= len(_strip(c)):  # the margin on the residues, before any lift
         lift = automaton._lift(a, c, n * max(map(abs, a)))
+    if lift is None:  # one prime dividing the terms can cut its register short
+        primes = automaton._primes()
+        next(primes)
+        c = max(c, [[1], *automaton._registers(a, next(primes))][-1],
+                key=lambda r: (len(r), len(_strip(r))))
     coeffs = c[1:] if lift is None else lift
     length, order = len(coeffs), len(_strip(coeffs))
     if lift is None or n - length < order + 2:
@@ -186,13 +193,8 @@ def expand(g: RationalGF, length: int) -> list[int]:
     """Power series coefficients 0..length of num/den, exactly."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    out: list[int] = []
-    for k in range(length + 1):
-        acc = g.num[k] if k < len(g.num) else 0
-        for j in range(1, min(k, len(g.den) - 1) + 1):
-            acc -= g.den[j] * out[k - j]
-        out.append(acc)
-    return out
+    heads = [*g.num[:length + 1], *[0] * (length + 1 - len(g.num))]
+    return list(automaton._extended([-c for c in g.den[1:]], [0] * (len(g.den) - 1), heads))
 
 
 def faultfree(g: RationalGF) -> RationalGF:

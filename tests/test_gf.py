@@ -3,7 +3,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tesserae import (
@@ -344,6 +344,31 @@ def test_expand_infer_round_trip(num, den_tail):
     assert recurrence_to_gf(rec, terms) == g  # the inferred recurrence is minimal
 
 
+def expand_by_double_loop(g, length):
+    # reference for expand: a[k] = num[k] - den[1] a[k-1] - ... - den[d] a[k-d] as a double loop
+    out = []
+    for k in range(length + 1):
+        acc = g.num[k] if k < len(g.num) else 0
+        for j in range(1, min(k, len(g.den) - 1) + 1):
+            acc -= g.den[j] * out[k - j]
+        out.append(acc)
+    return out
+
+
+wide_ints = st.integers(-(2**70), 2**70)
+
+
+@settings(deadline=None, max_examples=150)
+@given(num=st.lists(small_ints | wide_ints, min_size=1, max_size=9),
+       den_tail=st.lists(small_ints | wide_ints, max_size=5), length=st.integers(0, 30))
+@example(num=[3, 1, 4], den_tail=[], length=5)  # den = (1,)
+@example(num=[1, 2, 3, 4, 5, 6], den_tail=[-1, 2], length=9)  # num longer than den
+@example(num=[7, 1], den_tail=[-3], length=0)
+def test_expand_matches_the_double_loop(num, den_tail, length):
+    g = RationalGF(tuple(num), (1, *den_tail), 1)
+    assert expand(g, length) == expand_by_double_loop(g, length)
+
+
 def _mul(p, q):
     out = [0] * (len(p) + len(q) - 1) if p and q else []
     for i, x in enumerate(p):
@@ -601,8 +626,17 @@ sequences = st.one_of(gf_expansions(), st.lists(st.integers(-50, 50), max_size=2
                       wide_expansions())
 
 
+P31 = 2**31 - 1  # the first word prime, automaton._PRIMES[0]
+
+
 @settings(deadline=None, max_examples=150)
 @given(terms=sequences)
+# the first prime divides a term, so its register is too short: a second prime settles each
+@example(terms=[0, 3 * P31, 0, 0])
+@example(terms=[0, P31])
+@example(terms=[1, -P31])
+@example(terms=[2 * P31])
+@example(terms=[1, 1, P31 + 1])
 def test_resumable_massey_matches_every_prefix(terms):
     for n in range(len(terms) + 1):
         assert _outcome(infer_recurrence, terms[:n]) == _outcome(massey_from_scratch, terms[:n])
