@@ -331,24 +331,63 @@ def _sampled(a: TransferAutomaton, classes: list, n: int) -> Iterator[int]:
         yield from _extended(coeffs, terms[-len(coeffs):], repeat(0, n + 1 - len(terms)))
 
 
-def _resampled(a: TransferAutomaton, length: int) -> tuple[int, Iterator[int]]:
-    # the length step k, 1 when no closed walk passes the start, and N(k t), t = 0..length // k
+def _jumped(coeffs: tuple[int, ...], last: list[int], m: int) -> int:
+    # a[s + m] from last = a[s-d+1..s], d >= 1, where a[t] = c1 a[t-1] + ... + cd a[t-d]: last
+    # dotted with x^(d-1+m) mod x^d - c1 x^(d-1) - ... - cd (Fiduccia), by squaring and, where
+    # the exponent's next bit is set, a shift, each product reduced from its top power down
+    d, taps = len(coeffs), [(j, c) for j, c in enumerate(coeffs, 1) if c]
+    r = [1] + [0] * (d - 1)
+    for bit in bin(d - 1 + m)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, u in enumerate(r):
+            if u:
+                sq[2 * i] += u * u
+                u <<= 1
+                for j in range(i + 1, d):
+                    sq[i + j] += u * r[j]
+        if bit == "1":
+            sq.insert(0, 0)
+        while len(sq) > d:  # x^i = c1 x^(i-1) + ... + cd x^(i-d)
+            u, i = sq.pop(), len(sq)
+            for j, c in taps:
+                sq[i - j] += c * u
+        r = sq
+    return sum(map(mul, r, last))
+
+
+def _classes(a: TransferAutomaton, length: int) -> list:
+    # the cyclic classes, or one class of every state when no closed walk passes the start
     if length < 0:
         raise ValueError("length must be nonnegative")
-    classes = [range(len(a.states))]
     with suppress(NoTilingsError):
-        classes = _cyclic_classes(a)
-    return len(classes), _sampled(a, classes, length // len(classes))
+        return _cyclic_classes(a)
+    return [range(len(a.states))]
 
 
 def count_rect(a: TransferAutomaton, length: int) -> int:
     """Exact number of tilings of the width x length rectangle: the last count of series.
 
-    Once it stops trying recurrences it holds one column vector, or the last d counts of
-    a proved recurrence, so its memory does not grow with the length.
+    Past 32 counts N(k t), once the certified loop proves a recurrence of any order d, the
+    count m steps on is one coefficient of x^(d-1+m) mod the recurrence's characteristic
+    polynomial: O(d^2 log m) big-integer products, or the m d multiply-adds of extending
+    the recurrence where those are fewer, m <= d log2 m.  Its memory does not grow with m.
     """
-    k, counts = _resampled(a, length)
-    return 0 if length % k else deque(counts, maxlen=1)[0]
+    classes = _classes(a, length)
+    n, rest = divmod(length, len(classes))
+    if rest:
+        return 0
+    sweep = _certified(a, classes, n, None if n > 32 else 0)
+    try:
+        while True:
+            x = next(sweep)
+    except StopIteration as stop:
+        if not stop.value:
+            return x
+        coeffs, terms = stop.value
+        d, m = len(coeffs), n + 1 - len(terms)  # m >= 1, as the tries end at 2 t >= n
+        if m > d * m.bit_length():
+            return _jumped(coeffs, terms[-d:], m)
+        return deque(_extended(coeffs, terms[-d:], repeat(0, m)), maxlen=1)[0]
 
 
 def series(a: TransferAutomaton, length: int) -> CountSeries:
@@ -357,9 +396,10 @@ def series(a: TransferAutomaton, length: int) -> CountSeries:
     while fewer are swept than left, a recurrence proposed mod word primes and proved by
     the sweep gives the rest where it is the cheaper; a failed candidate leaves the sweep on.
     """
-    k, counts = _resampled(a, length)
+    classes = _classes(a, length)
+    k = len(classes)
     terms = [0] * (length + 1)
-    terms[::k] = counts
+    terms[::k] = _sampled(a, classes, length // k)
     return CountSeries(width=a.width, terms=tuple(terms))
 
 

@@ -174,6 +174,12 @@ def infer_recurrence(terms) -> LinearRecurrence:
     return LinearRecurrence(order, lift[:order], length)
 
 
+def _fraction(coeffs, a, m: int) -> tuple[list[int], tuple[int, ...]]:
+    # num = den a mod z^m over den = 1 - c1 z - ... - cd z^d, from the terms a[0..m-1]
+    den = (1, *(-c for c in coeffs))
+    return [sum(map(mul, den, a[t::-1])) for t in range(m)], den
+
+
 def recurrence_to_gf(rec: LinearRecurrence, terms, step: int = 1) -> RationalGF:
     """Rebuild num/den from a recurrence and the initial terms it acts on.
 
@@ -184,9 +190,7 @@ def recurrence_to_gf(rec: LinearRecurrence, terms, step: int = 1) -> RationalGF:
     need = rec.valid_from + rec.order
     if len(a) < need:
         raise ValueError(f"need at least {need} initial terms, got {len(a)}")
-    den = (1,) + tuple(-c for c in rec.coeffs)
-    num = [sum(map(mul, den, a[k::-1])) for k in range(need)]
-    return RationalGF(num, den, step)
+    return RationalGF(*_fraction(rec.coeffs, a, need), step)
 
 
 def expand(g: RationalGF, length: int) -> list[int]:
@@ -243,6 +247,6 @@ def strip_gf(auto: TransferAutomaton) -> RationalGF:
         while len(a) < 2 * r0 + 2:
             a.append(next(sweep))
     except StopIteration as proof:
-        den = (1, *(-c for c in proof.value[0]))
-        return _coprime([sum(map(mul, den, a[t::-1])) for t in range(len(den) - 1)], den, k)
+        coeffs = proof.value[0]
+        return _coprime(*_fraction(coeffs, a, len(coeffs)), k)
     return recurrence_to_gf(infer_recurrence(a), a, step=k)

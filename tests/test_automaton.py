@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tesserae import (
@@ -93,6 +93,43 @@ class TestCountRect:
     def test_negative_length(self):
         with pytest.raises(ValueError, match="length must be nonnegative"):
             count_rect(build_automaton(preset("domino"), 2), -1)
+
+    def test_closed_forms_far_past_the_proof(self):
+        # domino 2 x n: F(n + 1); monomino 1 x n: 1; tetromino-T 4 x 4t: 2 3^(t-1), else 0
+        assert [fibonacci(n) for n in range(12)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        auto = build_automaton(preset("domino"), 2, mirror=True)
+        for n in (1000, 21000, 69000):
+            assert count_rect(auto, n) == fibonacci(n + 1), n
+        auto = build_automaton(preset("monomino"), 1)
+        assert [count_rect(auto, n) for n in (33, 1000, 10**6, 10**9)] == [1] * 4
+        auto = build_automaton(preset("tetromino-T"), 4, mirror=True)
+        for t in [*range(1, 41), 97, 500, 1234, 4999, 5000]:
+            assert count_rect(auto, 4 * t) == 2 * 3 ** (t - 1), t
+            assert [count_rect(auto, 4 * t + r) for r in (1, 2, 3)] == [0, 0, 0], t
+
+
+def fibonacci(n):
+    """F(n) by fast doubling: F(2j) = F(j) (2 F(j+1) - F(j)), F(2j+1) = F(j)^2 + F(j+1)^2."""
+    a, b = 0, 1  # F(j), F(j + 1) for j = the bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@example(coeffs=[1] * 17, zeros=3, start=list(range(20)), m=5000)
+@example(coeffs=[0], zeros=2, start=[7] * 20, m=1)
+@given(coeffs=st.lists(st.integers(-5, 5), min_size=1, max_size=17), zeros=st.integers(0, 3),
+       start=st.lists(st.integers(-10**6, 10**6), min_size=20, max_size=20),
+       m=st.one_of(st.integers(0, 3), st.integers(0, 5000)))
+def test_jump_equals_stepping_the_recurrence(coeffs, zeros, start, m):
+    # orders 1-20, the last zeros coefficients 0, from any d counts
+    coeffs = (*coeffs, *[0] * zeros)
+    last = start[:len(coeffs)]
+    stepped = [*last, *automaton._extended(coeffs, last, [0] * m)]
+    assert automaton._jumped(coeffs, last, m) == stepped[-1]
 
 
 class TestSeries:

@@ -5,6 +5,7 @@ automata."""
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import sys
@@ -123,6 +124,72 @@ def test_counts_equal_the_plain_sweep_past_certification(swept, name):
         assert swept[0] == SWEPT.get((name, width), swept[0]), (name, width)
         for n in (0, 1, 32, 33, 64, 777, length):
             assert count_rect(auto, n) == ref[n], (name, width, n)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_count_rect_equals_the_plain_sweep_on_the_mirror_quotient(name):
+    # the quotient the CLI counts on, against the full automaton's sweep: every length to 40,
+    # 31, 32 and 33 steps of k columns around the n > 32 floor, and lengths that jump past the proof
+    for width in range(1, 9):
+        try:
+            auto = build_automaton(preset(name), width)
+        except AutomatonError:
+            continue
+        k = 1
+        with contextlib.suppress(NoTilingsError):
+            k = len(_cyclic_classes(auto))
+        lengths = {*range(41), 64, 100, 333, 777, 1100, 1500,
+                   *(k * n + r for n in (31, 32, 33) for r in (0, k - 1))}
+        ref = plain(auto, max(lengths))
+        quotient = build_automaton(preset(name), width, mirror=True)
+        for n in sorted(lengths):
+            assert count_rect(quotient, n) == ref[n], (name, width, n)
+
+
+def test_count_rect_jumps_where_series_steps(monkeypatch):
+    # past the proof count_rect reads N(n) off the recurrence's characteristic polynomial,
+    # while series still extends the recurrence count by count
+    domino = build_automaton(preset("domino"), 8, mirror=True)
+    ref = plain(domino, 2000)
+    t4 = build_automaton(preset("tetromino-T"), 4, mirror=True)
+
+    def refuse(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(automaton, "_extended", refuse)
+    assert [count_rect(domino, n) for n in (600, 1999, 2000)] == [ref[600], ref[1999], ref[2000]]
+    assert count_rect(t4, 20000) == 2 * 3**4999
+    with pytest.raises(AssertionError, match="stepped"):
+        series(domino, 600)
+
+
+# sha256 of count --json's exit codes, stdout and stderr over short_side_argvs(), pinned
+# from count_rect when it stepped every count past its proof
+SHORT_SIDE_DIGEST = "5b8de2648420fe0b8c72640e112be3bd00ee7c7f990fcd8ba71ebd358537c8f2"
+
+
+def short_side_argvs():
+    # length below the width: the transposed strip, or past MAX_WIDTH the width side's
+    # refusal; and the 8-bar with the monomino (bars.tiles), whose transposed strip, of
+    # reach 7, is over the state budget at lengths 9-12, so count falls back to the width
+    for name in sorted(PRESETS):
+        for width in (9, 12, 40, 100, 333, 512, 513):
+            for length in range(1, 9):
+                yield ["count", "--tiles", name, "--width", str(width), "--length", str(length)]
+    for width, length in ((12, 10), (40, 12), (24, 9), (12, 40)):
+        yield ["count", "--tiles", "bars.tiles", "--width", str(width), "--length", str(length)]
+
+
+def test_count_on_the_short_side_keeps_its_bytes(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bars.tiles").write_text("@symmetry: none\n" + "#\n" * 8 + "\n#\n")
+    digest = hashlib.sha256()
+    for argv in short_side_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--json"])
+        digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    assert digest.hexdigest() == SHORT_SIDE_DIGEST
 
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 2)])
