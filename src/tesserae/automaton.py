@@ -341,10 +341,8 @@ def _jumped(coeffs: tuple[int, ...], last: list[int], m: int) -> int:
         sq = [0] * (2 * d - 1)
         for i, u in enumerate(r):
             if u:
-                sq[2 * i] += u * u
-                u <<= 1
-                for j in range(i + 1, d):
-                    sq[i + j] += u * r[j]
+                for j, v in enumerate(r):
+                    sq[i + j] += u * v
         if bit == "1":
             sq.insert(0, 0)
         while len(sq) > d:  # x^i = c1 x^(i-1) + ... + cd x^(i-d)
@@ -368,9 +366,8 @@ def count_rect(a: TransferAutomaton, length: int) -> int:
     """Exact number of tilings of the width x length rectangle: the last count of series.
 
     Past 32 counts N(k t), once the certified loop proves a recurrence of any order d, the
-    count m steps on is one coefficient of x^(d-1+m) mod the recurrence's characteristic
-    polynomial: O(d^2 log m) big-integer products, or the m d multiply-adds of extending
-    the recurrence where those are fewer, m <= d log2 m.  Its memory does not grow with m.
+    count m steps on comes from x^(d-1+m) mod the recurrence's characteristic polynomial, in
+    O(d^2 log m) big-integer products.  Its memory does not grow with m.
     """
     classes = _classes(a, length)
     n, rest = divmod(length, len(classes))
@@ -384,10 +381,7 @@ def count_rect(a: TransferAutomaton, length: int) -> int:
         if not stop.value:
             return x
         coeffs, terms = stop.value
-        d, m = len(coeffs), n + 1 - len(terms)  # m >= 1, as the tries end at 2 t >= n
-        if m > d * m.bit_length():
-            return _jumped(coeffs, terms[-d:], m)
-        return deque(_extended(coeffs, terms[-d:], repeat(0, m)), maxlen=1)[0]
+        return _jumped(coeffs, terms[-len(coeffs):], n + 1 - len(terms))
 
 
 def series(a: TransferAutomaton, length: int) -> CountSeries:

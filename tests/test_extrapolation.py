@@ -5,7 +5,6 @@ automata."""
 
 import contextlib
 import functools
-import hashlib
 import io
 import json
 import sys
@@ -163,33 +162,44 @@ def test_count_rect_jumps_where_series_steps(monkeypatch):
         series(domino, 600)
 
 
-# sha256 of count --json's exit codes, stdout and stderr over short_side_argvs(), pinned
-# from count_rect when it stepped every count past its proof
-SHORT_SIDE_DIGEST = "5b8de2648420fe0b8c72640e112be3bd00ee7c7f990fcd8ba71ebd358537c8f2"
+def count_json(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["count", *map(str, argv), "--json"])
+    return code, out.getvalue() and json.loads(out.getvalue()), err.getvalue()
 
 
-def short_side_argvs():
-    # length below the width: the transposed strip, or past MAX_WIDTH the width side's
-    # refusal; and the 8-bar with the monomino (bars.tiles), whose transposed strip, of
-    # reach 7, is over the state budget at lengths 9-12, so count falls back to the width
-    for name in sorted(PRESETS):
-        for width in (9, 12, 40, 100, 333, 512, 513):
-            for length in range(1, 9):
-                yield ["count", "--tiles", name, "--width", str(width), "--length", str(length)]
-    for width, length in ((12, 10), (40, 12), (24, 9), (12, 40)):
-        yield ["count", "--tiles", "bars.tiles", "--width", str(width), "--length", str(length)]
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_count_on_the_short_side_is_the_transposed_count(name):
+    # length below the width: each preset is closed under transposition, so the width x length
+    # count is the sweep of length rows over width columns, 0 where no tile fits in length rows;
+    # past MAX_WIDTH the width side refuses
+    for length in range(1, 9):
+        try:
+            ref = plain(build_automaton(preset(name), length), 512)
+        except AutomatonError:
+            ref = [0] * 513
+        for width in (9, 12, 40, 100, 333, 512):
+            report = {"command": "count", "tiles": name, "width": width, "length": length,
+                      "count": str(ref[width])}
+            assert count_json("--tiles", name, "--width", width, "--length", length) == (
+                0, report, ""), (width, length)
+        assert count_json("--tiles", name, "--width", 513, "--length", length) == (
+            1, "", "error: width 513 exceeds the 512-row strip budget\n")
 
 
-def test_count_on_the_short_side_keeps_its_bytes(monkeypatch, tmp_path):
+def test_count_on_the_short_side_falls_back_to_the_width(monkeypatch, tmp_path):
+    # the 8-bar with the monomino: transposed, of reach 7, over the state budget at lengths
+    # 9-12, so count takes the width side, where each column of w cells has f(w) fillings,
+    # f(w) = f(w - 1) + f(w - 8) from f = 1 below 8
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bars.tiles").write_text("@symmetry: none\n" + "#\n" * 8 + "\n#\n")
-    digest = hashlib.sha256()
-    for argv in short_side_argvs():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--json"])
-        digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
-    assert digest.hexdigest() == SHORT_SIDE_DIGEST
+    f = [1] * 8
+    while len(f) <= 40:
+        f.append(f[-1] + f[-8])
+    for width, length in ((12, 10), (40, 12), (24, 9), (12, 40)):
+        code, report, err = count_json("--tiles", "bars.tiles", "--width", width, "--length", length)
+        assert (code, report["count"], err) == (0, str(f[width] ** length), ""), (width, length)
 
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 2)])
